@@ -113,6 +113,15 @@ impl FlexiBft {
                 attestation: None,
             });
         }
+        // The Prepare quorum may already be complete: the primary's own
+        // PrePrepare can come back over its loopback link after the
+        // backups' 2f + 1 Prepares, and no later vote fires the quorum again.
+        if self
+            .prepare_votes
+            .is_complete(&(view, seq, accepted.digest))
+        {
+            self.try_commit(seq, accepted.digest, out);
+        }
     }
 
     fn on_prepare(
@@ -516,6 +525,40 @@ mod tests {
         assert_eq!(engines[1].last_executed(), SeqNum(1));
         assert_eq!(out.replies().len(), 1);
         assert!(!out.replies()[0].speculative);
+    }
+
+    #[test]
+    fn proposal_arriving_after_its_prepare_quorum_commits() {
+        let mut cfg = FlexiBft::config(1);
+        cfg.batch_size = 1;
+        let mut engines = build_cluster(&cfg);
+        let mut out = Outbox::new();
+        engines[0].on_client_request(txns(1), &mut out);
+        let preprepare = out.broadcasts()[0].clone();
+        let digest = match &preprepare {
+            Message::PrePrepare { batch, .. } => batch.digest(),
+            _ => unreachable!(),
+        };
+        // The backups' 2f + 1 Prepares reach the primary before its own
+        // PrePrepare comes back to it.
+        for voter in [1u32, 2, 3] {
+            let mut out = Outbox::new();
+            engines[0].on_message(
+                ReplicaId(voter),
+                Message::Prepare {
+                    view: View(0),
+                    seq: SeqNum(1),
+                    digest,
+                    attestation: None,
+                },
+                &mut out,
+            );
+        }
+        assert_eq!(engines[0].last_executed(), SeqNum(0));
+        let mut out = Outbox::new();
+        engines[0].on_message(ReplicaId(0), preprepare, &mut out);
+        assert_eq!(engines[0].last_executed(), SeqNum(1));
+        assert_eq!(out.replies().len(), 1);
     }
 
     #[test]

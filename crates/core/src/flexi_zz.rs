@@ -112,10 +112,14 @@ impl FlexiZz {
             return;
         };
         // Cancel any pending forwarded-request timers satisfied by this batch.
-        for txn in accepted.batch.txns() {
-            let tag = forwarded_tag(txn);
-            if self.forwarded.remove(&tag).is_some() {
-                out.cancel_timer(TimerKind::RequestForwarded(tag));
+        // Only a client retry forwards a transaction, so in the common case
+        // there is nothing to cancel and no transaction needs its digest.
+        if !self.forwarded.is_empty() {
+            for txn in accepted.batch.txns() {
+                let tag = forwarded_tag(txn);
+                if self.forwarded.remove(&tag).is_some() {
+                    out.cancel_timer(TimerKind::RequestForwarded(tag));
+                }
             }
         }
         // Execute speculatively, in sequence order (Figure 4, Execute()).
@@ -539,33 +543,86 @@ mod tests {
         let mut cfg = FlexiZz::config(1);
         cfg.batch_size = 1;
         let mut engines = build_cluster(&cfg);
-        let txn = txns(1).remove(0);
+        let mut two = txns(2);
+        let other = two.remove(1);
+        let retried = two.remove(0);
         let mut out = Outbox::new();
         engines[2].on_message(
             ReplicaId(1),
-            Message::ClientRetry { txn: txn.clone() },
+            Message::ClientRetry { txn: retried },
             &mut out,
         );
-        let tag = out
-            .actions()
-            .iter()
-            .find_map(|a| match a {
-                Action::SetTimer {
-                    timer: TimerKind::RequestForwarded(t),
-                    ..
-                } => Some(*t),
-                _ => None,
-            })
-            .unwrap();
+        let tag = forwarded_timer(&out).expect("the retry arms a forwarded-request timer");
+        // A PrePrepare that does not carry the retried transaction leaves
+        // its timer armed.
+        let mut out = Outbox::new();
+        engines[0].on_client_request(vec![other], &mut out);
+        let preprepare = out.broadcasts()[0].clone();
+        let mut out = Outbox::new();
+        engines[2].on_message(ReplicaId(0), preprepare, &mut out);
+        assert_eq!(engines[2].last_executed(), SeqNum(1));
+        assert!(!cancels(&out, tag));
+        assert_eq!(engines[2].forwarded.len(), 1);
         let mut out = Outbox::new();
         engines[2].on_timer(TimerKind::RequestForwarded(tag), &mut out);
-        let vc: Vec<_> = out
-            .broadcasts()
+        assert_eq!(view_change_votes(&out), 1);
+        assert!(engines[2].flexi().in_view_change());
+    }
+
+    /// The tag of the forwarded-request timer `out` arms, if any.
+    fn forwarded_timer(out: &Outbox) -> Option<u64> {
+        out.actions().iter().find_map(|a| match a {
+            Action::SetTimer {
+                timer: TimerKind::RequestForwarded(t),
+                ..
+            } => Some(*t),
+            _ => None,
+        })
+    }
+
+    fn cancels(out: &Outbox, tag: u64) -> bool {
+        out.actions().iter().any(|a| {
+            matches!(
+                a,
+                Action::CancelTimer {
+                    timer: TimerKind::RequestForwarded(t)
+                } if *t == tag
+            )
+        })
+    }
+
+    fn view_change_votes(out: &Outbox) -> usize {
+        out.broadcasts()
             .into_iter()
             .filter(|m| m.kind() == "ViewChange")
-            .collect();
-        assert_eq!(vc.len(), 1);
-        assert!(engines[2].flexi().in_view_change());
+            .count()
+    }
+
+    #[test]
+    fn preprepare_carrying_a_forwarded_txn_cancels_its_timer() {
+        let mut cfg = FlexiZz::config(1);
+        cfg.batch_size = 1;
+        let mut engines = build_cluster(&cfg);
+        let txn = txns(1).remove(0);
+        let mut out = Outbox::new();
+        engines[2].on_message(ReplicaId(1), Message::ClientRetry { txn }, &mut out);
+        let tag = forwarded_timer(&out).expect("the retry arms a forwarded-request timer");
+        // The primary receives the forwarded request and proposes it.
+        let (to, forward) = out.sends()[0];
+        assert_eq!(*to, ReplicaId(0));
+        let mut out = Outbox::new();
+        engines[0].on_message(ReplicaId(2), forward.clone(), &mut out);
+        let preprepare = out.broadcasts()[0].clone();
+        let mut out = Outbox::new();
+        engines[2].on_message(ReplicaId(0), preprepare, &mut out);
+        assert!(cancels(&out, tag));
+        assert!(engines[2].forwarded.is_empty());
+        assert_eq!(engines[2].last_executed(), SeqNum(1));
+        // A timer expiry that races the cancellation starts no view change.
+        let mut out = Outbox::new();
+        engines[2].on_timer(TimerKind::RequestForwarded(tag), &mut out);
+        assert_eq!(view_change_votes(&out), 0);
+        assert!(!engines[2].flexi().in_view_change());
     }
 
     #[test]

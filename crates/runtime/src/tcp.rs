@@ -313,7 +313,12 @@ impl TcpCluster {
                         continue;
                     };
                     match TcpStream::connect(addr) {
-                        Ok(stream) => entry.insert(stream),
+                        Ok(stream) => {
+                            // Submits are small frames; without this, Nagle
+                            // holds one back until the previous is acked.
+                            let _ = stream.set_nodelay(true);
+                            entry.insert(stream)
+                        }
                         Err(_) => continue,
                     }
                 }

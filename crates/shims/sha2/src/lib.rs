@@ -6,6 +6,14 @@
 //! real `sha2` crate cannot be fetched; this shim implements FIPS 180-4
 //! SHA-256 faithfully (the workspace's known-answer tests check it against
 //! published vectors).
+//!
+//! Like the real crate, it picks its compression kernel at run time: on
+//! x86-64 CPUs with the SHA extensions it uses the SHA-NI instructions,
+//! everywhere else the portable scalar code. The choice is made once per
+//! process from CPU feature detection alone, and the tests check the two
+//! kernels against each other.
+
+use std::sync::OnceLock;
 
 /// Streaming digest interface matching the subset of `sha2::Digest` in use.
 pub trait Digest {
@@ -32,6 +40,22 @@ const H0: [u32; 8] = [
     0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
 ];
 
+/// A compression kernel: folds every 64-byte block of `blocks` (whose
+/// length is a multiple of 64) into `state`, in order.
+type Kernel = fn(&mut [u32; 8], &[u8]);
+
+/// The fastest kernel this CPU supports, detected on first use.
+fn detected_kernel() -> Kernel {
+    static KERNEL: OnceLock<Kernel> = OnceLock::new();
+    *KERNEL.get_or_init(|| {
+        #[cfg(target_arch = "x86_64")]
+        if let Some(kernel) = shani::kernel() {
+            return kernel;
+        }
+        compress_scalar
+    })
+}
+
 /// SHA-256 hasher.
 #[derive(Clone)]
 pub struct Sha256 {
@@ -39,22 +63,31 @@ pub struct Sha256 {
     buffer: [u8; 64],
     buffered: usize,
     length_bytes: u64,
+    kernel: Kernel,
 }
 
 impl Default for Sha256 {
     fn default() -> Self {
+        Sha256::with_kernel(detected_kernel())
+    }
+}
+
+impl Sha256 {
+    fn with_kernel(kernel: Kernel) -> Self {
         Sha256 {
             state: H0,
             buffer: [0u8; 64],
             buffered: 0,
             length_bytes: 0,
+            kernel,
         }
     }
 }
 
-impl Sha256 {
-    fn compress(state: &mut [u32; 8], block: &[u8]) {
-        debug_assert_eq!(block.len(), 64);
+/// The portable FIPS 180-4 compression function, one block at a time.
+fn compress_scalar(state: &mut [u32; 8], blocks: &[u8]) {
+    debug_assert_eq!(blocks.len() % 64, 0);
+    for block in blocks.chunks_exact(64) {
         let mut w = [0u32; 64];
         for (i, chunk) in block.chunks_exact(4).enumerate() {
             w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
@@ -99,6 +132,111 @@ impl Sha256 {
     }
 }
 
+/// The SHA-NI kernel (Intel SHA extensions, x86-64 only).
+#[cfg(target_arch = "x86_64")]
+mod shani {
+    use super::{Kernel, K};
+    use std::arch::x86_64::*;
+
+    /// The SHA-NI kernel, if this CPU has every feature it needs.
+    pub(super) fn kernel() -> Option<Kernel> {
+        let supported = is_x86_feature_detected!("sha")
+            && is_x86_feature_detected!("sse2")
+            && is_x86_feature_detected!("ssse3")
+            && is_x86_feature_detected!("sse4.1");
+        supported.then_some(compress_detected as Kernel)
+    }
+
+    /// Safe entry point; private, and only handed out by [`kernel`].
+    fn compress_detected(state: &mut [u32; 8], blocks: &[u8]) {
+        // SAFETY: `kernel` returns this function only after detecting every
+        // CPU feature `compress` enables.
+        unsafe { compress(state, blocks) }
+    }
+
+    /// Message schedule for the next four words, from the previous sixteen
+    /// (`w0` oldest).
+    #[target_feature(enable = "sha,sse2,ssse3")]
+    fn schedule(w0: __m128i, w1: __m128i, w2: __m128i, w3: __m128i) -> __m128i {
+        let t = _mm_add_epi32(_mm_sha256msg1_epu32(w0, w1), _mm_alignr_epi8(w3, w2, 4));
+        _mm_sha256msg2_epu32(t, w3)
+    }
+
+    /// Rounds 4g..4g+4 over the schedule words `w` (words 4g..4g+4).
+    #[inline]
+    #[target_feature(enable = "sha,sse2")]
+    fn rounds4(abef: &mut __m128i, cdgh: &mut __m128i, w: __m128i, g: usize) {
+        let k = &K[4 * g..4 * g + 4];
+        let k = _mm_set_epi32(k[3] as i32, k[2] as i32, k[1] as i32, k[0] as i32);
+        let wk = _mm_add_epi32(w, k);
+        *cdgh = _mm_sha256rnds2_epu32(*cdgh, *abef, wk);
+        *abef = _mm_sha256rnds2_epu32(*abef, *cdgh, _mm_shuffle_epi32(wk, 0x0e));
+    }
+
+    /// Compresses every 64-byte block of `blocks` into `state`, loading and
+    /// storing the state once for the whole run of blocks.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support the `sha`, `sse2`, `ssse3` and `sse4.1`
+    /// features.
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    unsafe fn compress(state: &mut [u32; 8], blocks: &[u8]) {
+        debug_assert_eq!(blocks.len() % 64, 0);
+        // Byte shuffle turning each little-endian lane into a big-endian word.
+        let bswap = _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203);
+        // SAFETY: `state` is eight u32s, i.e. two 16-byte unaligned loads.
+        let (dcba, hgfe) = unsafe {
+            (
+                _mm_loadu_si128(state.as_ptr().cast()),
+                _mm_loadu_si128(state.as_ptr().add(4).cast()),
+            )
+        };
+        // The round instructions take the state as (a, b, e, f) and
+        // (c, d, g, h).
+        let cdab = _mm_shuffle_epi32(dcba, 0xb1);
+        let efgh = _mm_shuffle_epi32(hgfe, 0x1b);
+        let mut abef = _mm_alignr_epi8(cdab, efgh, 8);
+        let mut cdgh = _mm_blend_epi16(efgh, cdab, 0xf0);
+
+        for block in blocks.chunks_exact(64) {
+            let (abef_in, cdgh_in) = (abef, cdgh);
+            // SAFETY: `block` is 64 bytes, i.e. four 16-byte unaligned loads.
+            let [mut w0, mut w1, mut w2, mut w3] = unsafe {
+                [0, 16, 32, 48].map(|at| {
+                    _mm_shuffle_epi8(_mm_loadu_si128(block.as_ptr().add(at).cast()), bswap)
+                })
+            };
+            rounds4(&mut abef, &mut cdgh, w0, 0);
+            rounds4(&mut abef, &mut cdgh, w1, 1);
+            rounds4(&mut abef, &mut cdgh, w2, 2);
+            rounds4(&mut abef, &mut cdgh, w3, 3);
+            for group in [4, 8, 12] {
+                w0 = schedule(w0, w1, w2, w3);
+                rounds4(&mut abef, &mut cdgh, w0, group);
+                w1 = schedule(w1, w2, w3, w0);
+                rounds4(&mut abef, &mut cdgh, w1, group + 1);
+                w2 = schedule(w2, w3, w0, w1);
+                rounds4(&mut abef, &mut cdgh, w2, group + 2);
+                w3 = schedule(w3, w0, w1, w2);
+                rounds4(&mut abef, &mut cdgh, w3, group + 3);
+            }
+            abef = _mm_add_epi32(abef, abef_in);
+            cdgh = _mm_add_epi32(cdgh, cdgh_in);
+        }
+
+        let feba = _mm_shuffle_epi32(abef, 0x1b);
+        let dchg = _mm_shuffle_epi32(cdgh, 0xb1);
+        let dcba = _mm_blend_epi16(feba, dchg, 0xf0);
+        let hgef = _mm_alignr_epi8(dchg, feba, 8);
+        // SAFETY: `state` is eight u32s, i.e. two 16-byte unaligned stores.
+        unsafe {
+            _mm_storeu_si128(state.as_mut_ptr().cast(), dcba);
+            _mm_storeu_si128(state.as_mut_ptr().add(4).cast(), hgef);
+        }
+    }
+}
+
 impl Digest for Sha256 {
     fn new() -> Self {
         Sha256::default()
@@ -113,8 +251,7 @@ impl Digest for Sha256 {
             self.buffered += take;
             input = &input[take..];
             if self.buffered == 64 {
-                let block = self.buffer;
-                Self::compress(&mut self.state, &block);
+                (self.kernel)(&mut self.state, &self.buffer);
                 self.buffered = 0;
             }
             if input.is_empty() {
@@ -122,11 +259,12 @@ impl Digest for Sha256 {
                 return;
             }
         }
-        let mut chunks = input.chunks_exact(64);
-        for block in &mut chunks {
-            Self::compress(&mut self.state, block);
+        // Every full block of this update goes to the kernel in one call.
+        let full = input.len() - input.len() % 64;
+        let (blocks, rest) = input.split_at(full);
+        if !blocks.is_empty() {
+            (self.kernel)(&mut self.state, blocks);
         }
-        let rest = chunks.remainder();
         self.buffer[..rest.len()].copy_from_slice(rest);
         self.buffered = rest.len();
     }
@@ -199,16 +337,94 @@ mod tests {
         assert_eq!(a.finalize(), b.finalize());
     }
 
+    /// Every kernel this CPU can run, scalar first. Says so on stderr
+    /// (past the test harness's output capture) when the SHA-NI kernel is
+    /// missing, so a scalar-only run never passes as a cross-check.
+    fn kernels() -> Vec<(&'static str, Kernel)> {
+        let mut kernels = vec![("scalar", compress_scalar as Kernel)];
+        #[cfg(target_arch = "x86_64")]
+        if let Some(kernel) = shani::kernel() {
+            kernels.push(("sha-ni", kernel));
+        }
+        if kernels.len() == 1 {
+            use std::io::Write;
+            let _ = writeln!(
+                std::io::stderr(),
+                "sha2: no SHA-NI on this CPU; the scalar/SHA-NI cross-check did not run"
+            );
+        }
+        kernels
+    }
+
+    /// SplitMix64: a seeded stream for test messages and split points.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn digest_parts(kernel: Kernel, parts: &[&[u8]]) -> [u8; 32] {
+        let mut h = Sha256::with_kernel(kernel);
+        for part in parts {
+            h.update(part);
+        }
+        h.finalize()
+    }
+
     #[test]
     fn million_a_vector() {
-        let mut h = Sha256::new();
+        let expected = "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0";
         let chunk = [b'a'; 1000];
-        for _ in 0..1000 {
-            h.update(chunk);
+        for (name, kernel) in kernels() {
+            // 1000-byte updates cross block boundaries through the buffer;
+            // one 10^6-byte update feeds the kernel 15 625 blocks at once.
+            let mut h = Sha256::with_kernel(kernel);
+            for _ in 0..1000 {
+                h.update(chunk);
+            }
+            assert_eq!(hex(&h.finalize()), expected, "{name}, streamed");
+            let whole = vec![b'a'; 1_000_000];
+            assert_eq!(
+                hex(&digest_parts(kernel, &[&whole])),
+                expected,
+                "{name}, one update"
+            );
         }
-        assert_eq!(
-            hex(&h.finalize()),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
-        );
+    }
+
+    #[test]
+    fn kernels_agree_on_every_length_single_and_split() {
+        let kernels = kernels();
+        let mut rng = 0x5eed_u64;
+        for len in 0..=1024usize {
+            let msg: Vec<u8> = (0..len).map(|_| splitmix(&mut rng) as u8).collect();
+            // Random split points, including empty parts and repeats.
+            let mut cuts: Vec<usize> = (0..splitmix(&mut rng) % 6)
+                .map(|_| (splitmix(&mut rng) % (len as u64 + 1)) as usize)
+                .collect();
+            cuts.sort_unstable();
+            let mut parts = Vec::new();
+            let mut from = 0;
+            for cut in cuts.into_iter().chain([len]) {
+                parts.push(&msg[from..cut]);
+                from = cut;
+            }
+            let reference = digest_parts(compress_scalar, &[&msg]);
+            for &(name, kernel) in &kernels {
+                assert_eq!(
+                    digest_parts(kernel, &[&msg]),
+                    reference,
+                    "{name}, len {len}, one update"
+                );
+                assert_eq!(
+                    digest_parts(kernel, &parts),
+                    reference,
+                    "{name}, len {len}, split {:?}",
+                    parts.iter().map(|p| p.len()).collect::<Vec<_>>()
+                );
+            }
+        }
     }
 }
