@@ -13,6 +13,7 @@
 //! share an honest replica that accepts only one proposal per slot — so at
 //! most one of the conflicting transactions can ever commit.
 
+use flexitrust_baselines::PbftFamilyEngine;
 use flexitrust_core::FlexiBft;
 use flexitrust_crypto::make_batch;
 use flexitrust_protocol::{ConsensusEngine, Message, Outbox};
@@ -220,7 +221,7 @@ pub fn rollback_attack_flexibft(f: usize, hardware: TrustedHardware) -> Rollback
         };
     };
 
-    let mut backups: Vec<FlexiBft> = (1..config.n)
+    let mut backups: Vec<PbftFamilyEngine> = (1..config.n)
         .map(|i| {
             FlexiBft::new(
                 config.clone(),

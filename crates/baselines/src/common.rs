@@ -1,26 +1,32 @@
 //! The shared PBFT-family replica engine.
 //!
-//! Every baseline the paper evaluates follows the same skeleton (§3, §4.2):
-//! a primary assigns sequence numbers and broadcasts `PrePrepare`; replicas
-//! vote in one (`Prepare`) or two (`Prepare` + `Commit`) all-to-all phases;
-//! batches execute in sequence order; periodic checkpoints truncate state;
-//! and a view change replaces a faulty primary. What differs between the
-//! protocols is captured by [`ProtocolStyle`]: the quorum sizes, whether a
-//! `Commit` phase exists, whether execution is speculative, and how trusted
-//! components are used for each message.
+//! Every protocol the paper evaluates follows the same skeleton (§3, §4.2,
+//! §8): a primary assigns sequence numbers and broadcasts `PrePrepare`;
+//! replicas vote in zero (speculative), one (`Prepare`) or two (`Prepare` +
+//! `Commit`) all-to-all phases; batches execute in sequence order; periodic
+//! checkpoints truncate state; and a view change replaces a faulty primary.
+//! What differs between the protocols is captured by [`ProtocolStyle`]: the
+//! quorum sizes, whether a `Commit` phase exists, whether execution is
+//! speculative, and how trusted components are used for each message.
 //!
-//! [`PbftFamilyEngine`] implements that skeleton once. The per-protocol
-//! modules in this crate instantiate it with the appropriate style, and the
-//! unit/integration tests drive clusters of these engines directly (no
-//! network) to check safety and the §5–§7 behaviours.
+//! [`PbftFamilyEngine`] implements that skeleton once, for the baselines in
+//! this crate and for the FlexiTrust protocols of `flexitrust-core` alike
+//! (§8 presents FlexiTrust as a recipe applied to this skeleton:
+//! [`PrimaryAttest::AppendF`] at the primary only, `2f + 1` quorums over
+//! `3f + 1` replicas). The per-protocol modules instantiate it with the
+//! appropriate style, and the unit/integration tests drive clusters of these
+//! engines directly (no network) to check safety and the §5–§7 behaviours.
 
+use flexitrust_crypto::digest_transaction;
+use flexitrust_exec::KvStore;
 use flexitrust_protocol::{
     Action, CertificateTracker, ConsensusEngine, Message, NewViewPlanner, Outbox, PreparedProof,
     ProtocolProperties, ReplicaCore, TimerKind,
 };
-use flexitrust_trusted::{Attestation, EnclaveRegistry, SharedEnclave};
+use flexitrust_trusted::{AttestKind, Attestation, EnclaveRegistry, SharedEnclave};
 use flexitrust_types::{
-    Batch, Digest, ProtocolId, QuorumRule, ReplicaId, SeqNum, SystemConfig, Transaction, View,
+    Batch, Digest, ProtocolId, QuorumRule, ReplicaId, SeqNum, StateSnapshot, SystemConfig,
+    Transaction, View,
 };
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
@@ -36,6 +42,11 @@ pub enum PrimaryAttest {
     /// trust-bft trusted log: the proposal is appended to the primary's
     /// pre-prepare log (PBFT-EA, OPBFT-EA).
     Log,
+    /// FlexiTrust (§8.1): the counter advances itself with `AppendF`, so
+    /// its value *is* the sequence number and values stay contiguous. The
+    /// primary of a new view creates a fresh counter with `Create` and
+    /// proves it in `NewView`; an accepted proposal counts as prepared.
+    AppendF,
 }
 
 /// How non-primary replicas attest their own votes.
@@ -59,13 +70,16 @@ pub struct ProtocolStyle {
     pub id: ProtocolId,
     /// Whether the protocol has a `Commit` phase after `Prepare`.
     pub use_commit_phase: bool,
-    /// Matching `Prepare` votes needed to mark a batch prepared.
+    /// Matching `Prepare` votes needed to mark a batch prepared; also the
+    /// number of `ViewChange` votes a new primary needs.
     pub prepare_quorum_rule: QuorumRule,
     /// Matching `Commit` votes needed to mark a batch committed
     /// (ignored when there is no commit phase).
     pub commit_quorum_rule: QuorumRule,
     /// Whether replicas execute speculatively on `PrePrepare` (Zyzzyva,
-    /// MinZZ) instead of waiting for a quorum.
+    /// MinZZ, Flexi-ZZ) instead of waiting for a quorum; speculative
+    /// replicas roll back to their stable checkpoint when a new view drops
+    /// what they executed.
     pub speculative: bool,
     /// How the primary uses its trusted component per proposal.
     pub primary_attest: PrimaryAttest,
@@ -108,6 +122,13 @@ pub struct PbftFamilyEngine {
     /// is created after each view change).
     counter_id: u64,
 
+    /// Timer tags of client transactions this backup forwarded to the
+    /// primary on a client retry and has not yet seen proposed.
+    forwarded: BTreeSet<u64>,
+    /// Store at the last stable checkpoint: where a speculative replica
+    /// rolls back to when a new view drops a suffix it executed.
+    rollback_point: (SeqNum, KvStore),
+
     // View-change state.
     in_view_change: bool,
     highest_vc_vote: View,
@@ -141,6 +162,8 @@ impl PbftFamilyEngine {
             next_seq: 1,
             my_outstanding: BTreeSet::new(),
             counter_id: 0,
+            forwarded: BTreeSet::new(),
+            rollback_point: (SeqNum(0), KvStore::new()),
             in_view_change: false,
             highest_vc_vote: View::ZERO,
             planners: BTreeMap::new(),
@@ -160,6 +183,21 @@ impl PbftFamilyEngine {
     /// Shared replica state (view, execution progress, checkpoints).
     pub fn core(&self) -> &ReplicaCore {
         &self.core
+    }
+
+    /// The enclave co-located with this replica, if the style uses one.
+    pub fn enclave(&self) -> Option<&SharedEnclave> {
+        self.enclave.as_ref()
+    }
+
+    /// Number of consensus instances this primary currently has in flight.
+    pub fn outstanding(&self) -> usize {
+        self.my_outstanding.len()
+    }
+
+    /// Digest of the proposal this replica accepted at `seq`, if any.
+    pub fn accepted_digest(&self, seq: SeqNum) -> Option<Digest> {
+        self.slots.get(&seq.0)?.digest
     }
 
     /// Number of view changes this replica has completed.
@@ -202,6 +240,7 @@ impl PbftFamilyEngine {
         self.try_propose(out);
     }
 
+    /// Proposes as many pending batches as the in-flight window allows.
     fn try_propose(&mut self, out: &mut Outbox) {
         if !self.core.is_primary() || self.in_view_change {
             return;
@@ -211,9 +250,26 @@ impl PbftFamilyEngine {
             let Some(batch) = self.pending_batches.pop_front() else {
                 return;
             };
-            let seq = SeqNum(self.next_seq);
-            self.next_seq += 1;
-            let attestation = self.primary_attestation(seq, batch.digest());
+            let (seq, attestation) = if self.style.primary_attest == PrimaryAttest::AppendF {
+                // The one place FlexiTrust touches the trusted component:
+                // one `AppendF` per batch, at the primary only, and the
+                // counter value is the sequence number (§8.1).
+                let bound = self
+                    .enclave
+                    .as_ref()
+                    .map(|e| e.append_f(self.counter_id, batch.digest()));
+                let Some(Ok((value, attestation))) = bound else {
+                    // The counter is unusable (should not happen for an
+                    // honest primary); keep the batch and stop proposing.
+                    self.pending_batches.push_front(batch);
+                    return;
+                };
+                (SeqNum(value), Some(attestation))
+            } else {
+                let seq = SeqNum(self.next_seq);
+                self.next_seq += 1;
+                (seq, self.primary_attestation(seq, batch.digest()))
+            };
             self.my_outstanding.insert(seq.0);
             out.broadcast(Message::PrePrepare {
                 view: self.core.view(),
@@ -230,6 +286,11 @@ impl PbftFamilyEngine {
             PrimaryAttest::None => None,
             PrimaryAttest::HostCounter => enclave.append(self.counter_id, seq.0, digest).ok(),
             PrimaryAttest::Log => enclave.log_append(0, Some(seq.0), digest).ok(),
+            PrimaryAttest::AppendF => {
+                let (value, attestation) = enclave.append_f(self.counter_id, digest).ok()?;
+                debug_assert_eq!(value, seq.0, "re-proposals must stay contiguous");
+                Some(attestation)
+            }
         }
     }
 
@@ -248,13 +309,30 @@ impl PbftFamilyEngine {
         }
     }
 
-    fn verify_attestation(&self, attestation: &Option<Attestation>) -> bool {
-        match (self.style.primary_attest, attestation, &self.registry) {
-            (PrimaryAttest::None, _, _) => true,
-            (_, Some(att), Some(registry)) => registry.verify(att).is_ok(),
-            (_, Some(_), None) => true,
-            (_, None, _) => false,
-        }
+    /// The acceptance check of lines 8–9 of Figures 3 and 4: a style with a
+    /// trusted primary needs an attestation from the sending primary's
+    /// trusted component, of the kind that style produces, binding exactly
+    /// this sequence number to exactly this batch digest.
+    fn verify_attestation(
+        &self,
+        from: ReplicaId,
+        seq: SeqNum,
+        digest: Digest,
+        attestation: &Option<Attestation>,
+    ) -> bool {
+        let kind = match self.style.primary_attest {
+            PrimaryAttest::None => return true,
+            PrimaryAttest::HostCounter | PrimaryAttest::AppendF => AttestKind::CounterBind,
+            PrimaryAttest::Log => AttestKind::LogSlot,
+        };
+        let Some(att) = attestation else {
+            return false;
+        };
+        att.host == from
+            && att.value == seq.0
+            && att.digest == digest
+            && att.kind == kind
+            && self.registry.as_ref().is_none_or(|r| r.verify(att).is_ok())
     }
 
     // ------------------------------------------------------------------
@@ -276,7 +354,8 @@ impl PbftFamilyEngine {
         if seq <= self.core.low_water_mark() {
             return;
         }
-        if !self.verify_attestation(&attestation) {
+        let digest = batch.digest();
+        if !self.verify_attestation(from, seq, digest, &attestation) {
             return;
         }
         let slot = self.slots.entry(seq.0).or_default();
@@ -284,19 +363,30 @@ impl PbftFamilyEngine {
             // Already accepted a proposal for this slot in this view.
             return;
         }
-        let digest = batch.digest();
         slot.batch = Some(batch.clone());
         slot.digest = Some(digest);
         slot.view = view;
         slot.attestation = attestation;
 
+        // A proposal carrying a forwarded transaction satisfies its timer.
+        // Only a client retry forwards one, so in the common case there is
+        // nothing to cancel and no transaction needs its digest.
+        if !self.forwarded.is_empty() {
+            for txn in batch.txns() {
+                let tag = forwarded_tag(txn);
+                if self.forwarded.remove(&tag) {
+                    out.cancel_timer(TimerKind::RequestForwarded(tag));
+                }
+            }
+        }
+
         if self.style.speculative {
-            // Zyzzyva / MinZZ: execute immediately and reply speculatively.
-            // trust-bft variants (MinZZ) still bind the accepted order to
-            // their own trusted counter before replying — the per-message,
-            // in-order TC access that §7 identifies as the root cause of
-            // sequentiality. The attestation travels with the client reply,
-            // so no vote message is broadcast here.
+            // Zyzzyva / MinZZ / Flexi-ZZ: execute immediately and reply
+            // speculatively. trust-bft variants (MinZZ) still bind the
+            // accepted order to their own trusted counter before replying —
+            // the per-message, in-order TC access that §7 identifies as the
+            // root cause of sequentiality. The attestation travels with the
+            // client reply, so no vote message is broadcast here.
             if self.style.replica_attest != ReplicaAttest::None && !self.core.is_primary() {
                 let _ = self.replica_vote_attestation(seq, digest);
             }
@@ -304,13 +394,7 @@ impl PbftFamilyEngine {
             return;
         }
 
-        if self.is_active()
-            && !self
-                .slots
-                .get(&seq.0)
-                .map(|s| s.prepare_sent)
-                .unwrap_or(false)
-        {
+        if self.is_active() && !self.slots.get(&seq.0).is_some_and(|s| s.prepare_sent) {
             let vote_attestation = self.replica_vote_attestation(seq, digest);
             if let Some(slot) = self.slots.get_mut(&seq.0) {
                 slot.prepare_sent = true;
@@ -321,6 +405,15 @@ impl PbftFamilyEngine {
                 digest,
                 attestation: vote_attestation,
             });
+        }
+        // The vote quorums may already be complete: the primary's own
+        // PrePrepare can come back over its loopback link after the
+        // backups' votes, and no later vote fires the quorum again.
+        if self.prepare_votes.is_complete(&(view, seq, digest)) {
+            self.on_prepared(view, seq, digest, out);
+        }
+        if self.style.use_commit_phase && self.commit_votes.is_complete(&(view, seq, digest)) {
+            self.commit_slot(seq, out);
         }
     }
 
@@ -335,42 +428,37 @@ impl PbftFamilyEngine {
         if view != self.core.view() || self.in_view_change {
             return;
         }
-        let became_quorum = self.prepare_votes.vote((view, seq, digest), from);
-        if !became_quorum {
+        if self.prepare_votes.vote((view, seq, digest), from) {
+            self.on_prepared(view, seq, digest, out);
+        }
+    }
+
+    /// Acts on a complete `Prepare` quorum for `(view, seq, digest)` once
+    /// the matching proposal is accepted.
+    fn on_prepared(&mut self, view: View, seq: SeqNum, digest: Digest, out: &mut Outbox) {
+        let active = self.is_active();
+        let Some(slot) = self.slots.get_mut(&seq.0) else {
+            return;
+        };
+        if slot.digest != Some(digest) {
             return;
         }
-        let digest_matches = self
-            .slots
-            .get(&seq.0)
-            .map(|s| s.digest == Some(digest))
-            .unwrap_or(false);
-        if !digest_matches {
-            return;
-        }
-        if let Some(slot) = self.slots.get_mut(&seq.0) {
-            slot.prepared = true;
-        }
-        if self.style.use_commit_phase {
-            let already_sent = self
-                .slots
-                .get(&seq.0)
-                .map(|s| s.commit_sent)
-                .unwrap_or(true);
-            if self.is_active() && !already_sent {
-                if let Some(slot) = self.slots.get_mut(&seq.0) {
-                    slot.commit_sent = true;
-                }
-                let attestation = self.replica_vote_attestation(seq, digest);
-                out.broadcast(Message::Commit {
-                    view,
-                    seq,
-                    digest,
-                    attestation,
-                });
-            }
-        } else {
-            // Two-phase protocols (MinBFT, CheapBFT): prepared == committed.
+        slot.prepared = true;
+        if !self.style.use_commit_phase {
+            // Two-phase protocols (MinBFT, CheapBFT, Flexi-BFT): prepared
+            // == committed.
             self.commit_slot(seq, out);
+            return;
+        }
+        if active && !slot.commit_sent {
+            slot.commit_sent = true;
+            let attestation = self.replica_vote_attestation(seq, digest);
+            out.broadcast(Message::Commit {
+                view,
+                seq,
+                digest,
+                attestation,
+            });
         }
     }
 
@@ -385,16 +473,10 @@ impl PbftFamilyEngine {
         if view != self.core.view() || self.in_view_change || !self.style.use_commit_phase {
             return;
         }
-        let became_quorum = self.commit_votes.vote((view, seq, digest), from);
-        if !became_quorum {
+        if !self.commit_votes.vote((view, seq, digest), from) {
             return;
         }
-        let matches = self
-            .slots
-            .get(&seq.0)
-            .map(|s| s.digest == Some(digest))
-            .unwrap_or(false);
-        if matches {
+        if self.accepted_digest(seq) == Some(digest) {
             self.commit_slot(seq, out);
         }
     }
@@ -418,8 +500,8 @@ impl PbftFamilyEngine {
         for done in &executed {
             self.core.maybe_emit_checkpoint(done.seq, out);
             self.my_outstanding.remove(&done.seq.0);
-        }
-        if !executed.is_empty() {
+            // Keep the pipeline full: each finished instance frees one
+            // proposal slot.
             self.try_propose(out);
         }
     }
@@ -430,13 +512,23 @@ impl PbftFamilyEngine {
 
     fn on_checkpoint(&mut self, from: ReplicaId, seq: SeqNum, state_digest: Digest) {
         if let Some(stable) = self.core.record_checkpoint_vote(from, seq, state_digest) {
-            let lwm = stable.0;
-            self.slots.retain(|s, _| *s > lwm);
-            self.prepare_votes.retain(|(_, s, _)| s.0 > lwm);
-            self.commit_votes.retain(|(_, s, _)| s.0 > lwm);
-            if let Some(enclave) = &self.enclave {
-                enclave.truncate_logs(lwm);
-            }
+            self.truncate(stable);
+        }
+    }
+
+    /// Drops all per-slot state at or below the stable checkpoint `stable`,
+    /// which becomes the speculative rollback point.
+    fn truncate(&mut self, stable: SeqNum) {
+        let lwm = stable.0;
+        self.slots.retain(|s, _| *s > lwm);
+        self.prepare_votes.retain(|(_, s, _)| s.0 > lwm);
+        self.commit_votes.retain(|(_, s, _)| s.0 > lwm);
+        if let Some(enclave) = &self.enclave {
+            enclave.truncate_logs(lwm);
+        }
+        if self.style.speculative {
+            // Everything at or below the stable checkpoint is durable.
+            self.rollback_point = (stable, self.core.exec().store().clone());
         }
     }
 
@@ -466,20 +558,17 @@ impl PbftFamilyEngine {
 
     /// Installs a peer's stable checkpoint (crash-recovery rejoin), then
     /// replays the accompanying batches through the normal execution path.
+    /// Replayed batches are executed without re-recording acceptance — their
+    /// attestations stayed with the serving peer.
     fn on_checkpoint_state(
         &mut self,
         seq: SeqNum,
-        snapshot: &flexitrust_types::StateSnapshot,
+        snapshot: &StateSnapshot,
         batches: Vec<(SeqNum, Batch)>,
         out: &mut Outbox,
     ) {
         if self.core.install_checkpoint(seq, snapshot) {
-            self.slots.retain(|s, _| *s > seq.0);
-            self.prepare_votes.retain(|(_, s, _)| s.0 > seq.0);
-            self.commit_votes.retain(|(_, s, _)| s.0 > seq.0);
-            if let Some(enclave) = &self.enclave {
-                enclave.truncate_logs(seq.0);
-            }
+            self.truncate(seq);
         }
         let speculative = self.style.speculative;
         for (batch_seq, batch) in batches {
@@ -503,7 +592,9 @@ impl PbftFamilyEngine {
                     // Speculative protocols report every slot they executed.
                     self.core.exec().is_executed(SeqNum(*seq))
                 } else {
-                    slot.prepared
+                    // An attested FlexiTrust proposal already rules out
+                    // equivocation, so accepting it prepares it (Figure 3).
+                    slot.prepared || self.style.primary_attest == PrimaryAttest::AppendF
                 };
                 if !relevant {
                     return None;
@@ -542,8 +633,8 @@ impl PbftFamilyEngine {
     }
 
     fn view_change_quorum(&self) -> usize {
-        // Both trust-bft (f+1) and bft (2f+1) protocols require a quorum of
-        // view-change votes matching their prepare quorum.
+        // Every style's view change needs as many votes as its prepare
+        // quorum: f + 1 for trust-bft, 2f + 1 for bft and FlexiTrust.
         self.core.config().quorum(self.style.prepare_quorum_rule)
     }
 
@@ -583,44 +674,48 @@ impl PbftFamilyEngine {
             .planners
             .entry(new_view.0)
             .or_insert_with(|| NewViewPlanner::new(new_view, quorum));
-        if let Some(plan) = planner.record_view_change(from, last_stable, prepared) {
-            // Become the primary of the new view.
-            self.core.enter_view(new_view);
-            self.in_view_change = false;
-            self.view_changes_completed += 1;
-            self.next_seq = plan.next_seq.0;
-            // trust-bft primaries create a fresh counter so that re-proposals
-            // can be attested starting from the lowest re-proposed sequence
-            // number (§8.1 Create).
-            if self.style.primary_attest == PrimaryAttest::HostCounter {
-                if let Some(enclave) = &self.enclave {
-                    let (q, _att) = enclave.create_counter(plan.stable_seq.0);
-                    self.counter_id = q;
-                }
-            }
-            let proposals: Vec<(SeqNum, Batch, Option<Attestation>)> = plan
-                .proposals
-                .iter()
-                .map(|(seq, batch)| {
-                    let att = self.primary_attestation(*seq, batch.digest());
-                    (*seq, batch.clone(), att)
-                })
-                .collect();
-            out.broadcast(Message::NewView {
-                view: new_view,
-                supporting_votes: plan.supporting_votes,
-                proposals: proposals.clone(),
-                counter_attestation: None,
-            });
-            // Process the re-proposals locally as well (the new primary acts
-            // on its own NewView like any other replica would).
-            let self_id = self.core.id();
-            for (seq, batch, attestation) in proposals {
-                if !self.core.exec().is_executed(seq) {
-                    self.on_preprepare(self_id, new_view, seq, batch, attestation, out);
+        let Some(plan) = planner.record_view_change(from, last_stable, prepared) else {
+            return;
+        };
+        // Become the primary of the new view.
+        self.core.enter_view(new_view);
+        self.in_view_change = false;
+        self.view_changes_completed += 1;
+        self.next_seq = plan.next_seq.0;
+        // Counter-based primaries create a fresh counter so that
+        // re-proposals can be attested starting from the lowest re-proposed
+        // sequence number (§8.1 `Create`); FlexiTrust proves it in NewView.
+        let mut counter_attestation = None;
+        if matches!(
+            self.style.primary_attest,
+            PrimaryAttest::HostCounter | PrimaryAttest::AppendF
+        ) {
+            if let Some(enclave) = &self.enclave {
+                let (q, att) = enclave.create_counter(plan.stable_seq.0);
+                self.counter_id = q;
+                if self.style.primary_attest == PrimaryAttest::AppendF {
+                    counter_attestation = Some(att);
                 }
             }
         }
+        let proposals: Vec<(SeqNum, Batch, Option<Attestation>)> = plan
+            .proposals
+            .iter()
+            .map(|(seq, batch)| {
+                let att = self.primary_attestation(*seq, batch.digest());
+                (*seq, batch.clone(), att)
+            })
+            .collect();
+        out.broadcast(Message::NewView {
+            view: new_view,
+            supporting_votes: plan.supporting_votes,
+            proposals: proposals.clone(),
+            counter_attestation,
+        });
+        out.cancel_timer(TimerKind::ViewChange);
+        // The new primary acts on its own NewView like any other replica.
+        let self_id = self.core.id();
+        self.adopt_new_view(self_id, new_view, proposals, out);
     }
 
     fn on_new_view(
@@ -629,6 +724,7 @@ impl PbftFamilyEngine {
         view: View,
         supporting_votes: usize,
         proposals: Vec<(SeqNum, Batch, Option<Attestation>)>,
+        counter_attestation: Option<Attestation>,
         out: &mut Outbox,
     ) {
         if view <= self.core.view() && !(view == self.core.view() && self.in_view_change) {
@@ -640,10 +736,40 @@ impl PbftFamilyEngine {
         if supporting_votes < self.view_change_quorum() {
             return;
         }
+        if self.style.primary_attest == PrimaryAttest::AppendF {
+            // The new primary must prove the fresh counter its re-proposals
+            // are bound to.
+            let Some(att) = &counter_attestation else {
+                return;
+            };
+            let verified = self.registry.as_ref().is_none_or(|r| r.verify(att).is_ok());
+            if !verified || att.host != from || att.kind != AttestKind::CounterCreate {
+                return;
+            }
+        }
         self.core.enter_view(view);
         self.in_view_change = false;
         self.view_changes_completed += 1;
-        // Adopt the re-proposals: treat each like a PrePrepare in the new view.
+        out.cancel_timer(TimerKind::ViewChange);
+        self.adopt_new_view(from, view, proposals, out);
+    }
+
+    /// Adopts a new view's re-proposals, at its primary and at backups
+    /// alike. Slots accepted but never executed belong to the old view: they
+    /// are dropped with their per-slot flags, so the new view can propose
+    /// those sequence numbers afresh.
+    fn adopt_new_view(
+        &mut self,
+        from: ReplicaId,
+        view: View,
+        proposals: Vec<(SeqNum, Batch, Option<Attestation>)>,
+        out: &mut Outbox,
+    ) {
+        if self.style.speculative {
+            self.roll_back_superseded(&proposals);
+        }
+        let last_executed = self.core.last_executed();
+        self.slots.retain(|s, _| SeqNum(*s) <= last_executed);
         for (seq, batch, attestation) in proposals {
             if self.core.exec().is_executed(seq) {
                 continue;
@@ -651,7 +777,31 @@ impl PbftFamilyEngine {
             self.next_seq = self.next_seq.max(seq.0 + 1);
             self.on_preprepare(from, view, seq, batch, attestation, out);
         }
-        out.cancel_timer(TimerKind::ViewChange);
+    }
+
+    /// Rolls speculative execution back to the stable checkpoint when the
+    /// new view's re-proposals rewrite or stop short of what this replica
+    /// executed (§8.3: "may force some replicas to rollback"). Safe because
+    /// no client can have completed a request that the new view dropped.
+    fn roll_back_superseded(&mut self, proposals: &[(SeqNum, Batch, Option<Attestation>)]) {
+        let Some((first, _, _)) = proposals.first() else {
+            return;
+        };
+        let last_executed = self.core.last_executed();
+        if last_executed < *first {
+            return;
+        }
+        let rewritten = proposals.iter().any(|(seq, batch, _)| {
+            self.core.exec().is_executed(*seq)
+                && self
+                    .accepted_digest(*seq)
+                    .is_some_and(|d| d != batch.digest())
+        });
+        let overshoot = last_executed >= SeqNum(first.0 + proposals.len() as u64);
+        if rewritten || overshoot {
+            let (seq, store) = self.rollback_point.clone();
+            self.core.exec_mut().rollback_to(seq, store);
+        }
     }
 
     // ------------------------------------------------------------------
@@ -659,20 +809,36 @@ impl PbftFamilyEngine {
     // ------------------------------------------------------------------
 
     fn on_client_retry(&mut self, txn: Transaction, out: &mut Outbox) {
+        // (1) Already executed? Answer from the reply cache.
         if let Some(reply) = self.core.cached_reply(txn.client(), txn.request()) {
             out.reply(reply.clone());
             return;
         }
         if self.core.is_primary() {
             self.enqueue_batches(vec![txn], out);
-        } else {
-            // Forward to the primary and start a timer; if the primary never
-            // proposes it, suspect it and vote for a view change.
-            let primary = self.core.primary();
-            out.send(primary, Message::ForwardRequest { txns: vec![txn] });
-            out.set_timer(TimerKind::ViewChange, self.core.config().view_timeout_us);
+            return;
         }
+        // (2) Forward to the primary and start a timer that the proposal of
+        // this transaction cancels; on expiry, suspect the primary.
+        let tag = forwarded_tag(&txn);
+        self.forwarded.insert(tag);
+        let primary = self.core.primary();
+        out.send(primary, Message::ForwardRequest { txns: vec![txn] });
+        out.set_timer(
+            TimerKind::RequestForwarded(tag),
+            self.core.config().view_timeout_us,
+        );
     }
+}
+
+/// Timer tag for a forwarded client transaction.
+fn forwarded_tag(txn: &Transaction) -> u64 {
+    let digest = digest_transaction(txn);
+    u64::from_le_bytes(
+        digest.as_bytes()[..8]
+            .try_into()
+            .expect("digest is 32 bytes"),
+    )
 }
 
 impl ConsensusEngine for PbftFamilyEngine {
@@ -726,8 +892,15 @@ impl ConsensusEngine for PbftFamilyEngine {
                 view,
                 supporting_votes,
                 proposals,
-                ..
-            } => self.on_new_view(from, view, supporting_votes, proposals, out),
+                counter_attestation,
+            } => self.on_new_view(
+                from,
+                view,
+                supporting_votes,
+                proposals,
+                counter_attestation,
+                out,
+            ),
             Message::ClientRetry { txn } => self.on_client_retry(txn, out),
             Message::ForwardRequest { txns } => {
                 if self.core.is_primary() {
@@ -755,9 +928,14 @@ impl ConsensusEngine for PbftFamilyEngine {
                     }
                 }
             }
-            TimerKind::ViewChange | TimerKind::RequestForwarded(_) => {
-                self.start_view_change(out);
+            TimerKind::RequestForwarded(tag) => {
+                // The primary never proposed the forwarded transaction:
+                // suspect it (Figure 4 view-change trigger).
+                if self.forwarded.remove(&tag) {
+                    self.start_view_change(out);
+                }
             }
+            TimerKind::ViewChange => self.start_view_change(out),
             TimerKind::Checkpoint => {
                 // Periodic checkpoints are driven off execution boundaries in
                 // this implementation; the timer variant is unused here.
@@ -782,34 +960,51 @@ impl ConsensusEngine for PbftFamilyEngine {
     }
 }
 
-/// Helper used by this crate's protocol modules and by tests: drive a cluster
-/// of engines to completion by repeatedly delivering every queued action to
-/// its destination (a synchronous, loss-free "perfect network").
+/// The synchronous, loss-free "perfect network" the engine tests drive
+/// clusters with: injects the client requests, then delivers every queued
+/// message until none is left. Messages to a replica missing from
+/// `engines` are never delivered, which cuts it off.
 ///
-/// Returns the number of actions delivered.
+/// Returns the number of messages delivered.
 pub fn run_cluster_until_quiescent(
-    engines: &mut [Box<dyn ConsensusEngine>],
-    mut inject: Vec<(usize, Vec<Transaction>)>,
+    engines: &mut [PbftFamilyEngine],
+    inject: Vec<(usize, Vec<Transaction>)>,
     max_rounds: usize,
 ) -> usize {
-    let mut delivered = 0;
-    let mut queues: Vec<Vec<(ReplicaId, Message)>> = vec![Vec::new(); engines.len()];
-    // Inject the client requests first.
-    let mut out = Outbox::new();
-    for (target, txns) in inject.drain(..) {
+    let mut queues = message_queues(engines);
+    for (target, txns) in inject {
+        let mut out = Outbox::new();
         engines[target].on_client_request(txns, &mut out);
         route_actions(engines[target].id(), out.drain(), &mut queues);
     }
+    deliver_until_quiescent(engines, &mut queues, max_rounds)
+}
+
+/// One empty inbound queue per replica of the deployment, indexed by id.
+pub fn message_queues(engines: &[PbftFamilyEngine]) -> Vec<Vec<(ReplicaId, Message)>> {
+    let n = engines.first().map_or(0, |e| e.config().n);
+    vec![Vec::new(); n]
+}
+
+/// Delivers the queued messages to `engines` round by round, routing what
+/// they send in reply, until no engine has anything left to receive or
+/// `max_rounds` rounds have passed. Returns the number delivered.
+pub fn deliver_until_quiescent(
+    engines: &mut [PbftFamilyEngine],
+    queues: &mut [Vec<(ReplicaId, Message)>],
+    max_rounds: usize,
+) -> usize {
+    let mut delivered = 0;
     for _ in 0..max_rounds {
         let mut any = false;
-        for i in 0..engines.len() {
-            let pending = std::mem::take(&mut queues[i]);
+        for engine in engines.iter_mut() {
+            let pending = std::mem::take(&mut queues[engine.id().as_usize()]);
             for (from, msg) in pending {
                 any = true;
                 delivered += 1;
                 let mut out = Outbox::new();
-                engines[i].on_message(from, msg, &mut out);
-                route_actions(engines[i].id(), out.drain(), &mut queues);
+                engine.on_message(from, msg, &mut out);
+                route_actions(engine.id(), out.drain(), queues);
             }
         }
         if !any {
@@ -819,7 +1014,14 @@ pub fn run_cluster_until_quiescent(
     delivered
 }
 
-fn route_actions(from: ReplicaId, actions: Vec<Action>, queues: &mut [Vec<(ReplicaId, Message)>]) {
+/// Queues the messages among `actions` (sent by `from`) at their
+/// destinations. Replies, timers and execution notifications are not
+/// routed.
+pub fn route_actions(
+    from: ReplicaId,
+    actions: Vec<Action>,
+    queues: &mut [Vec<(ReplicaId, Message)>],
+) {
     for action in actions {
         match action {
             Action::Send { to, msg } => {
@@ -832,8 +1034,6 @@ fn route_actions(from: ReplicaId, actions: Vec<Action>, queues: &mut [Vec<(Repli
                     q.push((from, msg.clone()));
                 }
             }
-            // Replies, timers and execution notifications are not routed by
-            // this synchronous helper.
             _ => {}
         }
     }
@@ -886,7 +1086,7 @@ mod tests {
         }
     }
 
-    fn build_cluster(style: ProtocolStyle, f: usize) -> Vec<Box<dyn ConsensusEngine>> {
+    fn build_cluster(style: ProtocolStyle, f: usize) -> Vec<PbftFamilyEngine> {
         let mut cfg = SystemConfig::for_protocol(style.id, f);
         cfg.batch_size = 2;
         let registry = EnclaveRegistry::deterministic(cfg.n, AttestationMode::Counting);
@@ -900,15 +1100,24 @@ mod tests {
                         AttestationMode::Counting,
                     )))
                 };
-                Box::new(PbftFamilyEngine::new(
+                PbftFamilyEngine::new(
                     cfg.clone(),
                     ReplicaId(i as u32),
                     style,
                     enclave,
                     Some(registry.clone()),
-                )) as Box<dyn ConsensusEngine>
+                )
             })
             .collect()
+    }
+
+    fn preprepare(view: View, seq: SeqNum, batch: Batch) -> Message {
+        Message::PrePrepare {
+            view,
+            seq,
+            batch,
+            attestation: None,
+        }
     }
 
     #[test]
@@ -968,22 +1177,12 @@ mod tests {
         let batch_b = flexitrust_crypto::make_batch(txns(2));
         engine.on_message(
             ReplicaId(0),
-            Message::PrePrepare {
-                view: View(0),
-                seq: SeqNum(1),
-                batch: batch_a.clone(),
-                attestation: None,
-            },
+            preprepare(View(0), SeqNum(1), batch_a.clone()),
             &mut out,
         );
         engine.on_message(
             ReplicaId(0),
-            Message::PrePrepare {
-                view: View(0),
-                seq: SeqNum(1),
-                batch: batch_b,
-                attestation: None,
-            },
+            preprepare(View(0), SeqNum(1), batch_b),
             &mut out,
         );
         // Only one Prepare was broadcast, for the first digest.
@@ -1006,12 +1205,7 @@ mod tests {
         let mut out = Outbox::new();
         engine.on_message(
             ReplicaId(3), // not the primary of view 0
-            Message::PrePrepare {
-                view: View(0),
-                seq: SeqNum(1),
-                batch: flexitrust_crypto::make_batch(txns(1)),
-                attestation: None,
-            },
+            preprepare(View(0), SeqNum(1), flexitrust_crypto::make_batch(txns(1))),
             &mut out,
         );
         assert!(out.is_empty());
@@ -1019,61 +1213,162 @@ mod tests {
 
     #[test]
     fn trust_bft_preprepare_without_attestation_is_rejected() {
-        let cfg = SystemConfig::for_protocol(ProtocolId::MinBft, 1);
-        let registry = EnclaveRegistry::deterministic(cfg.n, AttestationMode::Counting);
-        let mut engine = PbftFamilyEngine::new(
-            cfg,
-            ReplicaId(1),
-            minbft_style(),
-            Some(Enclave::shared(EnclaveConfig::counter_only(
-                ReplicaId(1),
-                AttestationMode::Counting,
-            ))),
-            Some(registry),
-        );
+        let mut cluster = build_cluster(minbft_style(), 1);
         let mut out = Outbox::new();
-        engine.on_message(
+        cluster[1].on_message(
             ReplicaId(0),
-            Message::PrePrepare {
-                view: View(0),
-                seq: SeqNum(1),
-                batch: flexitrust_crypto::make_batch(txns(1)),
-                attestation: None,
-            },
+            preprepare(View(0), SeqNum(1), flexitrust_crypto::make_batch(txns(1))),
             &mut out,
         );
         assert!(out.is_empty());
     }
 
     #[test]
+    fn an_attestation_issued_for_another_slot_is_rejected() {
+        // Every attested style accepts only the attestation binding exactly
+        // this sequence number to exactly this batch, from the primary.
+        let mut cluster = build_cluster(minbft_style(), 1);
+        let mut out = Outbox::new();
+        cluster[0].on_client_request(txns(2), &mut out);
+        let (seq1, batch1, att1) = match out.broadcasts()[0] {
+            Message::PrePrepare {
+                seq,
+                batch,
+                attestation,
+                ..
+            } => (*seq, batch.clone(), attestation.clone().unwrap()),
+            _ => unreachable!(),
+        };
+        let batch2 = flexitrust_crypto::make_batch(txns(4).split_off(2));
+        let counter = |i: usize, seq: u64, batch: &Batch| {
+            let enclave = cluster[i].enclave().unwrap();
+            enclave.append(0, seq, batch.digest()).unwrap()
+        };
+        let forgeries = [
+            // The right batch under the primary's next slot.
+            (batch1.clone(), counter(0, 2, &batch1)),
+            // Another batch under this slot's attestation.
+            (batch2.clone(), att1.clone()),
+            // The right binding, attested by a backup's counter.
+            (batch1.clone(), counter(2, 1, &batch1)),
+        ];
+        for (batch, att) in forgeries {
+            let mut out = Outbox::new();
+            cluster[1].on_message(
+                ReplicaId(0),
+                Message::PrePrepare {
+                    view: View(0),
+                    seq: seq1,
+                    batch,
+                    attestation: Some(att),
+                },
+                &mut out,
+            );
+            assert!(out.is_empty());
+            assert_eq!(cluster[1].accepted_digest(seq1), None);
+        }
+        let mut out = Outbox::new();
+        cluster[1].on_message(
+            ReplicaId(0),
+            Message::PrePrepare {
+                view: View(0),
+                seq: seq1,
+                batch: batch1.clone(),
+                attestation: Some(att1),
+            },
+            &mut out,
+        );
+        assert_eq!(cluster[1].accepted_digest(seq1), Some(batch1.digest()));
+    }
+
+    /// Delivers view-0 `Prepare` (or, with `commit`, `Commit`) votes for
+    /// `(seq, digest)` from `voters` to `engine`.
+    fn vote(
+        engine: &mut PbftFamilyEngine,
+        commit: bool,
+        voters: &[u32],
+        seq: SeqNum,
+        digest: Digest,
+    ) {
+        for voter in voters {
+            let (view, attestation) = (View(0), None);
+            let msg = if commit {
+                Message::Commit {
+                    view,
+                    seq,
+                    digest,
+                    attestation,
+                }
+            } else {
+                Message::Prepare {
+                    view,
+                    seq,
+                    digest,
+                    attestation,
+                }
+            };
+            let mut out = Outbox::new();
+            engine.on_message(ReplicaId(*voter), msg, &mut out);
+        }
+    }
+
+    #[test]
+    fn a_proposal_arriving_after_its_vote_quorums_still_executes() {
+        // PBFT: every Prepare and Commit overtakes the PrePrepare.
+        // MinBFT: the f + 1 Prepares do.
+        for (style, voters) in [(pbft_style(), &[0u32, 2, 3][..]), (minbft_style(), &[0, 2])] {
+            let mut cluster = build_cluster(style, 1);
+            let mut out = Outbox::new();
+            cluster[0].on_client_request(txns(2), &mut out);
+            let proposal = out.broadcasts()[0].clone();
+            let (seq, digest) = match &proposal {
+                Message::PrePrepare { seq, batch, .. } => (*seq, batch.digest()),
+                _ => unreachable!(),
+            };
+            vote(&mut cluster[1], false, voters, seq, digest);
+            if style.use_commit_phase {
+                vote(&mut cluster[1], true, voters, seq, digest);
+            }
+            assert_eq!(cluster[1].last_executed(), SeqNum(0), "{:?}", style.id);
+            let mut out = Outbox::new();
+            cluster[1].on_message(ReplicaId(0), proposal, &mut out);
+            assert_eq!(cluster[1].last_executed(), seq, "{:?}", style.id);
+            assert_eq!(out.replies().len(), 2, "{:?}", style.id);
+        }
+    }
+
+    #[test]
+    fn a_pbft_proposal_arriving_after_its_prepare_quorum_sends_its_commit() {
+        let mut cluster = build_cluster(pbft_style(), 1);
+        let mut out = Outbox::new();
+        cluster[0].on_client_request(txns(2), &mut out);
+        let proposal = out.broadcasts()[0].clone();
+        let digest = match &proposal {
+            Message::PrePrepare { batch, .. } => batch.digest(),
+            _ => unreachable!(),
+        };
+        vote(&mut cluster[1], false, &[0, 2, 3], SeqNum(1), digest);
+        let mut out = Outbox::new();
+        cluster[1].on_message(ReplicaId(0), proposal, &mut out);
+        let kinds: Vec<&str> = out.broadcasts().into_iter().map(|m| m.kind()).collect();
+        assert_eq!(kinds, ["Prepare", "Commit"]);
+    }
+
+    #[test]
     fn view_change_replaces_a_silent_primary() {
         let mut cluster = build_cluster(pbft_style(), 1);
-        // Deliver nothing; instead, fire the view-change timer at every
-        // backup and route the resulting messages by hand.
-        let n = cluster.len();
-        let mut queues: Vec<Vec<(ReplicaId, Message)>> = vec![Vec::new(); n];
+        // The primary is cut off; every backup's view-change timer fires.
+        let mut queues = message_queues(&cluster);
         for engine in cluster.iter_mut().skip(1) {
             let mut out = Outbox::new();
             engine.on_timer(TimerKind::ViewChange, &mut out);
             route_actions(engine.id(), out.drain(), &mut queues);
         }
-        for _ in 0..50 {
-            let mut any = false;
-            for i in 0..n {
-                for (from, msg) in std::mem::take(&mut queues[i]) {
-                    any = true;
-                    let mut out = Outbox::new();
-                    cluster[i].on_message(from, msg, &mut out);
-                    route_actions(cluster[i].id(), out.drain(), &mut queues);
-                }
-            }
-            if !any {
-                break;
-            }
-        }
+        deliver_until_quiescent(&mut cluster[1..], &mut queues, 50);
         // Replica 1 is the primary of view 1; the backups have moved on.
         for engine in cluster.iter().skip(1) {
             assert_eq!(engine.view(), View(1), "replica {}", engine.id());
+            assert!(!engine.in_view_change());
         }
         assert!(cluster[1].is_primary());
     }
@@ -1085,36 +1380,14 @@ mod tests {
             active_subset_only: true,
             ..minbft_style()
         };
-        let cfg = SystemConfig::for_protocol(ProtocolId::CheapBft, 2); // n = 5, active = 3
-        let registry = EnclaveRegistry::deterministic(cfg.n, AttestationMode::Counting);
-        let enclave = Enclave::shared(EnclaveConfig::counter_only(
-            ReplicaId(4),
-            AttestationMode::Counting,
-        ));
-        let mut passive = PbftFamilyEngine::new(
-            cfg.clone(),
-            ReplicaId(4),
-            style,
-            Some(enclave),
-            Some(registry.clone()),
-        );
-        let primary_enclave = Enclave::shared(EnclaveConfig::counter_only(
-            ReplicaId(0),
-            AttestationMode::Counting,
-        ));
-        let att = primary_enclave.append(0, 1, Digest::from_u64_tag(1)).ok();
+        let mut cluster = build_cluster(style, 2); // n = 5, active = 3
         let mut out = Outbox::new();
-        passive.on_message(
-            ReplicaId(0),
-            Message::PrePrepare {
-                view: View(0),
-                seq: SeqNum(1),
-                batch: flexitrust_crypto::make_batch(txns(1)),
-                attestation: att,
-            },
-            &mut out,
-        );
-        // Passive replica stores the proposal but does not broadcast a vote.
+        cluster[0].on_client_request(txns(2), &mut out);
+        let proposal = out.broadcasts()[0].clone();
+        let mut out = Outbox::new();
+        cluster[4].on_message(ReplicaId(0), proposal, &mut out);
+        // The passive replica stores the proposal but does not vote.
+        assert!(cluster[4].accepted_digest(SeqNum(1)).is_some());
         assert!(out.broadcasts().is_empty());
     }
 }

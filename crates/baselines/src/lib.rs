@@ -1,9 +1,10 @@
 //! Baseline BFT and trust-BFT protocols evaluated by the paper.
 //!
 //! The paper compares its FlexiTrust suite against five deployed baselines
-//! plus three variants the authors build themselves. All of them are
-//! PBFT-shaped, differing in replication factor, number of phases, quorum
-//! sizes, speculation and how they use trusted components:
+//! plus three variants the authors build themselves. All of them — and
+//! FlexiTrust itself — are PBFT-shaped, differing in replication factor,
+//! number of phases, quorum sizes, speculation and how they use trusted
+//! components:
 //!
 //! | Protocol | n | Phases | Trusted component use |
 //! |---|---|---|---|
@@ -14,11 +15,18 @@
 //! | [`MinBft`](minbft::MinBft) | 2f+1 | 2 phases | trusted counter per message |
 //! | [`MinZz`](minzz::MinZz) | 2f+1 | 1 phase (speculative) | trusted counter per message |
 //! | [`CheapBft`](cheapbft::CheapBft) | 2f+1 (f+1 active) | 2 phases | trusted counter per message |
+//! | `FlexiBft` (`flexitrust-core`) | 3f+1 | 2 phases | `AppendF` at the primary, once per batch |
+//! | `FlexiZz` (`flexitrust-core`) | 3f+1 | 1 phase (speculative) | `AppendF` at the primary, once per batch |
 //!
-//! All engines are built on the shared [`common::PbftFamilyEngine`], a
+//! All engines — the baselines here and the paper's two FlexiTrust
+//! protocols — are built on the shared [`common::PbftFamilyEngine`], a
 //! configurable PBFT-family replica: each protocol module instantiates it
 //! with the style parameters above and documents the protocol-specific
-//! behaviour and its limitations (§5–§7 of the paper).
+//! behaviour and its limitations (§5–§7 of the paper). FlexiTrust (§8) is
+//! the recipe "restrict `Append` to `AppendF`, touch the trusted component
+//! only at the primary, use `2f + 1` quorums over `3f + 1` replicas", so
+//! Flexi-BFT and Flexi-ZZ are two more styles of the same skeleton
+//! ([`PrimaryAttest::AppendF`]), built in `flexitrust-core`.
 
 pub mod cheapbft;
 pub mod common;

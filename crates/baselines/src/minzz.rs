@@ -60,7 +60,7 @@ mod tests {
     use flexitrust_protocol::ConsensusEngine;
     use flexitrust_types::{ClientId, KvOp, QuorumRule, RequestId, SeqNum, Transaction};
 
-    fn build(f: usize) -> (Vec<Box<dyn ConsensusEngine>>, Vec<SharedEnclave>) {
+    fn build(f: usize) -> (Vec<PbftFamilyEngine>, Vec<SharedEnclave>) {
         let mut cfg = MinZz::config(f);
         cfg.batch_size = 1;
         let registry = EnclaveRegistry::deterministic(cfg.n, AttestationMode::Counting);
@@ -69,12 +69,12 @@ mod tests {
             .collect();
         let engines = (0..cfg.n)
             .map(|i| {
-                Box::new(MinZz::engine(
+                MinZz::engine(
                     cfg.clone(),
                     ReplicaId(i as u32),
                     enclaves[i].clone(),
                     registry.clone(),
-                )) as Box<dyn ConsensusEngine>
+                )
             })
             .collect();
         (engines, enclaves)

@@ -99,14 +99,14 @@ mod tests {
         let mut cfg = OpbftEa::config(1);
         cfg.batch_size = 1;
         let registry = EnclaveRegistry::deterministic(cfg.n, AttestationMode::Counting);
-        let mut engines: Vec<Box<dyn ConsensusEngine>> = (0..cfg.n)
+        let mut engines: Vec<PbftFamilyEngine> = (0..cfg.n)
             .map(|i| {
-                Box::new(OpbftEa::engine(
+                OpbftEa::engine(
                     cfg.clone(),
                     ReplicaId(i as u32),
                     OpbftEa::enclave(ReplicaId(i as u32), AttestationMode::Counting),
                     registry.clone(),
-                )) as Box<dyn ConsensusEngine>
+                )
             })
             .collect();
         run_cluster_until_quiescent(&mut engines, vec![(0, txns(4))], 300);

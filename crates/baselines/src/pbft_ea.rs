@@ -61,7 +61,7 @@ mod tests {
     use flexitrust_protocol::ConsensusEngine;
     use flexitrust_types::{ClientId, KvOp, RequestId, SeqNum, Transaction};
 
-    fn build(f: usize, batch: usize) -> (Vec<Box<dyn ConsensusEngine>>, Vec<SharedEnclave>) {
+    fn build(f: usize, batch: usize) -> (Vec<PbftFamilyEngine>, Vec<SharedEnclave>) {
         let mut cfg = PbftEa::config(f);
         cfg.batch_size = batch;
         let registry = EnclaveRegistry::deterministic(cfg.n, AttestationMode::Counting);
@@ -70,12 +70,12 @@ mod tests {
             .collect();
         let engines = (0..cfg.n)
             .map(|i| {
-                Box::new(PbftEa::engine(
+                PbftEa::engine(
                     cfg.clone(),
                     ReplicaId(i as u32),
                     enclaves[i].clone(),
                     registry.clone(),
-                )) as Box<dyn ConsensusEngine>
+                )
             })
             .collect();
         (engines, enclaves)

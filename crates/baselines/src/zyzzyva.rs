@@ -60,11 +60,8 @@ mod tests {
     fn replicas_execute_speculatively_in_one_phase() {
         let mut cfg = Zyzzyva::config(1);
         cfg.batch_size = 1;
-        let mut engines: Vec<Box<dyn ConsensusEngine>> = (0..cfg.n)
-            .map(|i| {
-                Box::new(Zyzzyva::engine(cfg.clone(), ReplicaId(i as u32)))
-                    as Box<dyn ConsensusEngine>
-            })
+        let mut engines: Vec<PbftFamilyEngine> = (0..cfg.n)
+            .map(|i| Zyzzyva::engine(cfg.clone(), ReplicaId(i as u32)))
             .collect();
         let delivered = run_cluster_until_quiescent(&mut engines, vec![(0, txns(3))], 100);
         for e in &engines {

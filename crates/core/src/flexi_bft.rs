@@ -13,27 +13,34 @@
 //! restores client responsiveness (§5), reduces trusted-component usage to
 //! one access per consensus at the primary only (§6, G2), and lets the
 //! primary keep many consensus instances in flight concurrently (§7, G1).
-//! The sequential ablation `oFlexi-BFT` of Figure 6(i) is this same engine
+//! The sequential ablation `oFlexi-BFT` of Figure 6(i) is this same style
 //! with the in-flight window forced to one ([`FlexiBft::sequential`]).
 
-use crate::common::FlexiCore;
-use flexitrust_protocol::{
-    CertificateTracker, ConsensusEngine, Message, Outbox, ProtocolProperties, TimerKind,
-};
+use flexitrust_baselines::{PbftFamilyEngine, PrimaryAttest, ProtocolStyle, ReplicaAttest};
 use flexitrust_trusted::{AttestationMode, Enclave, EnclaveConfig, EnclaveRegistry, SharedEnclave};
-use flexitrust_types::{Digest, ProtocolId, ReplicaId, SeqNum, SystemConfig, Transaction, View};
+use flexitrust_types::{ProtocolId, QuorumRule, ReplicaId, SystemConfig};
 use std::sync::Arc;
 
-/// A Flexi-BFT replica engine.
-pub struct FlexiBft {
-    sequential: bool,
-    flexi: FlexiCore,
-    prepare_votes: CertificateTracker<(View, SeqNum, Digest)>,
-    prepare_sent: std::collections::BTreeSet<u64>,
-    committed: std::collections::BTreeSet<u64>,
-}
+/// Builder for Flexi-BFT replica engines.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct FlexiBft;
 
 impl FlexiBft {
+    /// The Flexi-BFT style parameters: MinBFT's two phases, with `AppendF`
+    /// at the primary only and `2f + 1` quorums over `3f + 1` replicas.
+    pub fn style() -> ProtocolStyle {
+        ProtocolStyle {
+            id: ProtocolId::FlexiBft,
+            use_commit_phase: false,
+            prepare_quorum_rule: QuorumRule::TwoFPlusOne,
+            commit_quorum_rule: QuorumRule::TwoFPlusOne,
+            speculative: false,
+            primary_attest: PrimaryAttest::AppendF,
+            replica_attest: ReplicaAttest::None,
+            active_subset_only: false,
+        }
+    }
+
     /// The default configuration for fault threshold `f` (`n = 3f + 1`).
     pub fn config(f: usize) -> SystemConfig {
         SystemConfig::for_protocol(ProtocolId::FlexiBft, f)
@@ -49,23 +56,26 @@ impl FlexiBft {
         Enclave::shared(EnclaveConfig::counter_only(id, mode))
     }
 
-    /// Creates the engine for replica `id`.
+    /// Creates the engine for replica `id`; a configuration for
+    /// `oFlexi-BFT` gives the sequential ablation.
+    // A builder: every protocol is the one `PbftFamilyEngine`, so `new`
+    // returns that engine rather than `Self`.
+    #[allow(clippy::new_ret_no_self)]
     pub fn new(
         config: impl Into<Arc<SystemConfig>>,
         id: ReplicaId,
         enclave: SharedEnclave,
         registry: EnclaveRegistry,
-    ) -> Self {
+    ) -> PbftFamilyEngine {
         let config = config.into();
-        let prepare_quorum = config.large_quorum();
-        let sequential = config.protocol == ProtocolId::OFlexiBft || config.max_in_flight == 1;
-        FlexiBft {
-            sequential,
-            prepare_votes: CertificateTracker::new(prepare_quorum),
-            prepare_sent: std::collections::BTreeSet::new(),
-            committed: std::collections::BTreeSet::new(),
-            flexi: FlexiCore::new(config, id, enclave, registry),
-        }
+        let style = ProtocolStyle {
+            id: match config.protocol {
+                ProtocolId::OFlexiBft => ProtocolId::OFlexiBft,
+                _ => ProtocolId::FlexiBft,
+            },
+            ..Self::style()
+        };
+        PbftFamilyEngine::new(config, id, style, Some(enclave), Some(registry))
     }
 
     /// Creates the sequential ablation (`oFlexi-BFT`) engine for replica `id`.
@@ -74,261 +84,14 @@ impl FlexiBft {
         id: ReplicaId,
         enclave: SharedEnclave,
         registry: EnclaveRegistry,
-    ) -> Self {
+    ) -> PbftFamilyEngine {
         Self::new(Self::sequential_config(f), id, enclave, registry)
-    }
-
-    /// Shared FlexiTrust state (exposed for tests and attack harnesses).
-    pub fn flexi(&self) -> &FlexiCore {
-        &self.flexi
-    }
-
-    /// Whether this engine runs the sequential (`oFlexi-BFT`) ablation.
-    pub fn is_sequential(&self) -> bool {
-        self.sequential
-    }
-
-    fn on_preprepare(
-        &mut self,
-        from: ReplicaId,
-        view: View,
-        seq: SeqNum,
-        batch: flexitrust_types::Batch,
-        attestation: Option<flexitrust_trusted::Attestation>,
-        out: &mut Outbox,
-    ) {
-        let Some(accepted) = self
-            .flexi
-            .accept_preprepare(from, view, seq, batch, attestation)
-        else {
-            return;
-        };
-        // The attested proposal is already "prepared" in the PBFT sense; one
-        // round of Prepare votes is enough to commit (Figure 3, line 9).
-        if self.prepare_sent.insert(seq.0) {
-            out.broadcast(Message::Prepare {
-                view,
-                seq,
-                digest: accepted.digest,
-                attestation: None,
-            });
-        }
-        // The Prepare quorum may already be complete: the primary's own
-        // PrePrepare can come back over its loopback link after the
-        // backups' 2f + 1 Prepares, and no later vote fires the quorum again.
-        if self
-            .prepare_votes
-            .is_complete(&(view, seq, accepted.digest))
-        {
-            self.try_commit(seq, accepted.digest, out);
-        }
-    }
-
-    fn on_prepare(
-        &mut self,
-        from: ReplicaId,
-        view: View,
-        seq: SeqNum,
-        digest: Digest,
-        out: &mut Outbox,
-    ) {
-        if view != self.flexi.replica.view() || self.flexi.in_view_change() {
-            return;
-        }
-        if !self.prepare_votes.vote((view, seq, digest), from) {
-            return;
-        }
-        self.try_commit(seq, digest, out);
-    }
-
-    fn try_commit(&mut self, seq: SeqNum, digest: Digest, out: &mut Outbox) {
-        if self.committed.contains(&seq.0) {
-            return;
-        }
-        let Some(accepted) = self.flexi.accepted(seq) else {
-            return;
-        };
-        if accepted.digest != digest {
-            return;
-        }
-        let batch = accepted.batch.clone();
-        self.committed.insert(seq.0);
-        let executed = self.flexi.replica.commit_batch(seq, batch, false, out);
-        for done in executed {
-            self.flexi.replica.maybe_emit_checkpoint(done.seq, out);
-            self.flexi.instance_finished(done.seq, out);
-        }
-    }
-
-    fn adopt_proposals(
-        &mut self,
-        from: ReplicaId,
-        view: View,
-        proposals: Vec<(
-            SeqNum,
-            flexitrust_types::Batch,
-            Option<flexitrust_trusted::Attestation>,
-        )>,
-        out: &mut Outbox,
-    ) {
-        for (seq, batch, attestation) in proposals {
-            if self.flexi.replica.exec().is_executed(seq) {
-                continue;
-            }
-            self.on_preprepare(from, view, seq, batch, attestation, out);
-        }
-    }
-}
-
-impl ConsensusEngine for FlexiBft {
-    fn config(&self) -> &SystemConfig {
-        self.flexi.replica.config()
-    }
-
-    fn id(&self) -> ReplicaId {
-        self.flexi.replica.id()
-    }
-
-    fn properties(&self) -> ProtocolProperties {
-        ProtocolProperties::for_protocol(if self.sequential {
-            ProtocolId::OFlexiBft
-        } else {
-            ProtocolId::FlexiBft
-        })
-    }
-
-    fn on_client_request(&mut self, txns: Vec<Transaction>, out: &mut Outbox) {
-        if self.flexi.replica.is_primary() {
-            self.flexi.enqueue(txns, out);
-        } else {
-            let primary = self.flexi.replica.primary();
-            out.send(primary, Message::ForwardRequest { txns });
-        }
-    }
-
-    fn on_message(&mut self, from: ReplicaId, msg: Message, out: &mut Outbox) {
-        if !self.flexi.replica.config().contains(from) {
-            return;
-        }
-        match msg {
-            Message::PrePrepare {
-                view,
-                seq,
-                batch,
-                attestation,
-            } => self.on_preprepare(from, view, seq, batch, attestation, out),
-            Message::Prepare {
-                view, seq, digest, ..
-            } => self.on_prepare(from, view, seq, digest, out),
-            Message::Commit { .. } => {
-                // Flexi-BFT has no commit phase; ignore stray messages.
-            }
-            Message::Checkpoint {
-                seq, state_digest, ..
-            } => self.flexi.on_checkpoint(from, seq, state_digest),
-            Message::ViewChange {
-                new_view,
-                last_stable,
-                prepared,
-            } => {
-                let self_id = self.flexi.replica.id();
-                let reproposed = self.flexi.on_view_change(
-                    from,
-                    new_view,
-                    last_stable,
-                    prepared,
-                    |core| core.proofs_from_accepted(false),
-                    out,
-                );
-                self.adopt_proposals(self_id, new_view, reproposed, out);
-            }
-            Message::NewView {
-                view,
-                supporting_votes,
-                proposals,
-                counter_attestation,
-            } => {
-                let adopted = self.flexi.on_new_view(
-                    from,
-                    view,
-                    supporting_votes,
-                    proposals,
-                    counter_attestation,
-                    out,
-                );
-                self.adopt_proposals(from, view, adopted, out);
-            }
-            Message::ClientRetry { txn } => {
-                if let Some(reply) = self.flexi.replica.cached_reply(txn.client(), txn.request()) {
-                    out.reply(reply.clone());
-                } else if self.flexi.replica.is_primary() {
-                    self.flexi.enqueue(vec![txn], out);
-                } else {
-                    let primary = self.flexi.replica.primary();
-                    out.send(primary, Message::ForwardRequest { txns: vec![txn] });
-                    out.set_timer(
-                        TimerKind::ViewChange,
-                        self.flexi.replica.config().view_timeout_us,
-                    );
-                }
-            }
-            Message::ForwardRequest { txns } => {
-                if self.flexi.replica.is_primary() {
-                    self.flexi.enqueue(txns, out);
-                }
-            }
-            Message::CheckpointRequest { last_executed } => {
-                self.flexi.on_checkpoint_request(from, last_executed, out);
-            }
-            Message::CheckpointState {
-                seq,
-                snapshot,
-                batches,
-            } => {
-                if self
-                    .flexi
-                    .install_checkpoint_state(seq, &snapshot, batches, false, out)
-                {
-                    // Committed/prepared bookkeeping below the installed
-                    // checkpoint is superseded by the transferred state.
-                    self.committed.retain(|s| *s > seq.0);
-                    self.prepare_sent.retain(|s| *s > seq.0);
-                }
-            }
-        }
-    }
-
-    fn on_timer(&mut self, timer: TimerKind, out: &mut Outbox) {
-        match timer {
-            TimerKind::BatchFlush => self.flexi.flush_batch(out),
-            TimerKind::ViewChange | TimerKind::RequestForwarded(_) => {
-                let proofs = self.flexi.proofs_from_accepted(false);
-                self.flexi.start_view_change(proofs, out);
-            }
-            TimerKind::Checkpoint => {}
-        }
-    }
-
-    fn view(&self) -> View {
-        self.flexi.replica.view()
-    }
-
-    fn last_executed(&self) -> SeqNum {
-        self.flexi.replica.last_executed()
-    }
-
-    fn executed_txns(&self) -> u64 {
-        self.flexi.replica.executed_txns()
-    }
-
-    fn state_digest(&self) -> Option<Digest> {
-        Some(self.flexi.replica.state_digest())
     }
 }
 
 /// Builds a full Flexi-BFT cluster (engine per replica) over counting-mode
 /// enclaves; used by tests, examples and the simulator registry.
-pub fn build_cluster(config: &SystemConfig) -> Vec<FlexiBft> {
+pub fn build_cluster(config: &SystemConfig) -> Vec<PbftFamilyEngine> {
     let registry = EnclaveRegistry::deterministic(config.n, AttestationMode::Counting);
     (0..config.n)
         .map(|i| {
@@ -346,7 +109,13 @@ pub fn build_cluster(config: &SystemConfig) -> Vec<FlexiBft> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flexitrust_types::{ClientId, KvOp, QuorumRule, RequestId};
+    use flexitrust_baselines::common::{
+        deliver_until_quiescent, message_queues, route_actions, run_cluster_until_quiescent,
+    };
+    use flexitrust_crypto::make_batch;
+    use flexitrust_protocol::{ConsensusEngine, Message, Outbox, TimerKind};
+    use flexitrust_trusted::{AttestKind, Attestation};
+    use flexitrust_types::{Batch, ClientId, Digest, KvOp, RequestId, SeqNum, Transaction, View};
 
     fn txns(count: usize) -> Vec<Transaction> {
         (0..count)
@@ -363,54 +132,41 @@ mod tests {
             .collect()
     }
 
-    /// Deliver all queued messages between engines until quiescence.
-    fn run(engines: &mut [FlexiBft], inject: Vec<(usize, Vec<Transaction>)>) {
-        let n = engines.len();
-        let mut queues: Vec<Vec<(ReplicaId, Message)>> = vec![Vec::new(); n];
-        let route = |from: ReplicaId,
-                     actions: Vec<flexitrust_protocol::Action>,
-                     queues: &mut Vec<Vec<(ReplicaId, Message)>>| {
-            for a in actions {
-                match a {
-                    flexitrust_protocol::Action::Send { to, msg } => {
-                        queues[to.as_usize()].push((from, msg))
-                    }
-                    flexitrust_protocol::Action::Broadcast { msg } => {
-                        for q in queues.iter_mut() {
-                            q.push((from, msg.clone()));
-                        }
-                    }
-                    _ => {}
-                }
-            }
-        };
-        for (target, t) in inject {
-            let mut out = Outbox::new();
-            engines[target].on_client_request(t, &mut out);
-            route(engines[target].id(), out.drain(), &mut queues);
-        }
-        for _ in 0..300 {
-            let mut any = false;
-            for i in 0..n {
-                for (from, msg) in std::mem::take(&mut queues[i]) {
-                    any = true;
-                    let mut out = Outbox::new();
-                    engines[i].on_message(from, msg, &mut out);
-                    route(engines[i].id(), out.drain(), &mut queues);
-                }
-            }
-            if !any {
-                break;
-            }
+    fn cluster(batch_size: usize) -> Vec<PbftFamilyEngine> {
+        let mut cfg = FlexiBft::config(1);
+        cfg.batch_size = batch_size;
+        build_cluster(&cfg)
+    }
+
+    /// The proposals `out` broadcast, in order.
+    fn proposals(out: &Outbox) -> Vec<(View, SeqNum, Batch, Option<Attestation>)> {
+        out.broadcasts()
+            .into_iter()
+            .filter_map(|m| match m {
+                Message::PrePrepare {
+                    view,
+                    seq,
+                    batch,
+                    attestation,
+                } => Some((*view, *seq, batch.clone(), attestation.clone())),
+                _ => None,
+            })
+            .collect()
+    }
+
+    fn prepare(seq: SeqNum, digest: Digest) -> Message {
+        Message::Prepare {
+            view: View(0),
+            seq,
+            digest,
+            attestation: None,
         }
     }
 
     #[test]
     fn cluster_commits_in_two_phases_with_2f_plus_1_quorums() {
-        let mut cfg = FlexiBft::config(1);
-        cfg.batch_size = 2;
-        let mut engines = build_cluster(&cfg);
-        run(&mut engines, vec![(0, txns(4))]);
+        let mut engines = cluster(2);
+        run_cluster_until_quiescent(&mut engines, vec![(0, txns(4))], 300);
         for e in &engines {
             assert_eq!(e.last_executed(), SeqNum(2), "replica {}", e.id());
             assert_eq!(e.executed_txns(), 4);
@@ -418,16 +174,25 @@ mod tests {
     }
 
     #[test]
+    fn primary_proposes_with_contiguous_counter_values() {
+        let mut engines = cluster(1);
+        let mut out = Outbox::new();
+        engines[0].on_client_request(txns(3), &mut out);
+        let seqs: Vec<u64> = proposals(&out).iter().map(|p| p.1 .0).collect();
+        assert_eq!(seqs, vec![1, 2, 3]);
+        let counter = engines[0].enclave().unwrap().stats().snapshot();
+        assert_eq!(counter.counter_append_fs, 3);
+    }
+
+    #[test]
     fn only_the_primary_accesses_its_trusted_counter() {
-        let mut cfg = FlexiBft::config(1);
-        cfg.batch_size = 1;
-        let mut engines = build_cluster(&cfg);
-        run(&mut engines, vec![(0, txns(5))]);
-        let primary_accesses = engines[0].flexi().enclave().stats().snapshot();
+        let mut engines = cluster(1);
+        run_cluster_until_quiescent(&mut engines, vec![(0, txns(5))], 300);
+        let primary_accesses = engines[0].enclave().unwrap().stats().snapshot();
         assert_eq!(primary_accesses.counter_append_fs, 5);
         for e in &engines[1..] {
             assert_eq!(
-                e.flexi().enclave().stats().snapshot().total_accesses(),
+                e.enclave().unwrap().stats().snapshot().total_accesses(),
                 0,
                 "backup {} must not touch its enclave",
                 e.id()
@@ -437,20 +202,12 @@ mod tests {
 
     #[test]
     fn parallel_instances_are_in_flight_simultaneously() {
-        let mut cfg = FlexiBft::config(1);
-        cfg.batch_size = 1;
-        let registry = EnclaveRegistry::deterministic(cfg.n, AttestationMode::Counting);
-        let mut primary = FlexiBft::new(
-            cfg.clone(),
-            ReplicaId(0),
-            FlexiBft::enclave(ReplicaId(0), AttestationMode::Counting),
-            registry,
-        );
+        let mut engines = cluster(1);
         let mut out = Outbox::new();
-        primary.on_client_request(txns(10), &mut out);
+        engines[0].on_client_request(txns(10), &mut out);
         // All ten proposals go out before any commit, i.e. ten instances are
         // outstanding concurrently (G1).
-        assert_eq!(primary.flexi().outstanding(), 10);
+        assert_eq!(engines[0].outstanding(), 10);
         assert_eq!(out.broadcasts().len(), 10);
     }
 
@@ -465,10 +222,11 @@ mod tests {
             FlexiBft::enclave(ReplicaId(0), AttestationMode::Counting),
             registry,
         );
-        assert!(primary.is_sequential());
+        assert_eq!(primary.style().id, ProtocolId::OFlexiBft);
+        assert!(!primary.properties().out_of_order);
         let mut out = Outbox::new();
         primary.on_client_request(txns(10), &mut out);
-        assert_eq!(primary.flexi().outstanding(), 1);
+        assert_eq!(primary.outstanding(), 1);
         assert_eq!(out.broadcasts().len(), 1);
     }
 
@@ -481,47 +239,115 @@ mod tests {
     }
 
     #[test]
-    fn commit_requires_2f_plus_1_prepares() {
+    fn acceptance_rejects_bad_attestations() {
+        let mut engines = cluster(1);
+        let mut out = Outbox::new();
+        engines[0].on_client_request(txns(1), &mut out);
+        let (view, seq, batch, attestation) = proposals(&out).remove(0);
+        let att = attestation.unwrap();
+        let mut wrong_seq = att.clone();
+        wrong_seq.value = 9;
+        let mut wrong_kind = att.clone();
+        wrong_kind.kind = AttestKind::CounterCreate;
+        let other_batch = make_batch(txns(2).split_off(1));
+        let rejected = [
+            // Missing attestation.
+            (0, seq, batch.clone(), None),
+            // Attestation bound to a different sequence number.
+            (0, SeqNum(9), batch.clone(), Some(wrong_seq)),
+            // Attestation of the wrong kind.
+            (0, seq, batch.clone(), Some(wrong_kind)),
+            // Attestation bound to a different batch.
+            (0, seq, other_batch, Some(att.clone())),
+            // From a replica that is not the primary.
+            (2, seq, batch.clone(), Some(att.clone())),
+        ];
+        for (from, seq, batch, attestation) in rejected {
+            let mut out = Outbox::new();
+            let msg = Message::PrePrepare {
+                view,
+                seq,
+                batch,
+                attestation,
+            };
+            engines[1].on_message(ReplicaId(from), msg, &mut out);
+            assert!(out.is_empty());
+            assert_eq!(engines[1].accepted_digest(seq), None);
+        }
+        // The genuine proposal is still acceptable exactly once.
+        let genuine = Message::PrePrepare {
+            view,
+            seq,
+            batch: batch.clone(),
+            attestation: Some(att),
+        };
+        let mut out = Outbox::new();
+        engines[1].on_message(ReplicaId(0), genuine.clone(), &mut out);
+        assert_eq!(out.broadcasts().len(), 1);
+        assert_eq!(engines[1].accepted_digest(seq), Some(batch.digest()));
+        let mut out = Outbox::new();
+        engines[1].on_message(ReplicaId(0), genuine, &mut out);
+        assert!(out.is_empty());
+        assert_eq!(
+            engines[1]
+                .enclave()
+                .unwrap()
+                .stats()
+                .snapshot()
+                .total_accesses(),
+            0
+        );
+    }
+
+    #[test]
+    fn forged_attestation_from_host_key_is_rejected() {
+        // Even in Real mode a Byzantine primary cannot fabricate an
+        // attestation with its replica key; the backup must reject it.
         let mut cfg = FlexiBft::config(1);
         cfg.batch_size = 1;
-        let mut engines = build_cluster(&cfg);
+        let registry = EnclaveRegistry::deterministic(cfg.n, AttestationMode::Real);
+        let enclave = FlexiBft::enclave(ReplicaId(1), AttestationMode::Real);
+        let mut backup = FlexiBft::new(cfg, ReplicaId(1), enclave, registry);
+        let batch = make_batch(txns(1));
+        let forged = Attestation {
+            host: ReplicaId(0),
+            counter: 0,
+            value: 1,
+            digest: batch.digest(),
+            kind: AttestKind::CounterBind,
+            signature: flexitrust_crypto::Signature::zero(),
+        };
+        let mut out = Outbox::new();
+        let msg = Message::PrePrepare {
+            view: View(0),
+            seq: SeqNum(1),
+            batch,
+            attestation: Some(forged),
+        };
+        backup.on_message(ReplicaId(0), msg, &mut out);
+        assert!(out.is_empty());
+        assert_eq!(backup.accepted_digest(SeqNum(1)), None);
+    }
+
+    #[test]
+    fn commit_requires_2f_plus_1_prepares() {
+        let mut engines = cluster(1);
         // Hand-deliver the proposal to replica 1 and only two Prepare votes:
         // not enough (2f + 1 = 3).
         let mut out = Outbox::new();
         engines[0].on_client_request(txns(1), &mut out);
         let preprepare = out.broadcasts()[0].clone();
-        let digest = match &preprepare {
-            Message::PrePrepare { batch, .. } => batch.digest(),
-            _ => unreachable!(),
-        };
+        let digest = proposals(&out)[0].2.digest();
         let mut out = Outbox::new();
         engines[1].on_message(ReplicaId(0), preprepare, &mut out);
         for voter in [1u32, 2] {
             let mut out = Outbox::new();
-            engines[1].on_message(
-                ReplicaId(voter),
-                Message::Prepare {
-                    view: View(0),
-                    seq: SeqNum(1),
-                    digest,
-                    attestation: None,
-                },
-                &mut out,
-            );
+            engines[1].on_message(ReplicaId(voter), prepare(SeqNum(1), digest), &mut out);
         }
         assert_eq!(engines[1].last_executed(), SeqNum(0));
         // The third distinct vote commits.
         let mut out = Outbox::new();
-        engines[1].on_message(
-            ReplicaId(3),
-            Message::Prepare {
-                view: View(0),
-                seq: SeqNum(1),
-                digest,
-                attestation: None,
-            },
-            &mut out,
-        );
+        engines[1].on_message(ReplicaId(3), prepare(SeqNum(1), digest), &mut out);
         assert_eq!(engines[1].last_executed(), SeqNum(1));
         assert_eq!(out.replies().len(), 1);
         assert!(!out.replies()[0].speculative);
@@ -529,30 +355,16 @@ mod tests {
 
     #[test]
     fn proposal_arriving_after_its_prepare_quorum_commits() {
-        let mut cfg = FlexiBft::config(1);
-        cfg.batch_size = 1;
-        let mut engines = build_cluster(&cfg);
+        let mut engines = cluster(1);
         let mut out = Outbox::new();
         engines[0].on_client_request(txns(1), &mut out);
         let preprepare = out.broadcasts()[0].clone();
-        let digest = match &preprepare {
-            Message::PrePrepare { batch, .. } => batch.digest(),
-            _ => unreachable!(),
-        };
+        let digest = proposals(&out)[0].2.digest();
         // The backups' 2f + 1 Prepares reach the primary before its own
         // PrePrepare comes back to it.
         for voter in [1u32, 2, 3] {
             let mut out = Outbox::new();
-            engines[0].on_message(
-                ReplicaId(voter),
-                Message::Prepare {
-                    view: View(0),
-                    seq: SeqNum(1),
-                    digest,
-                    attestation: None,
-                },
-                &mut out,
-            );
+            engines[0].on_message(ReplicaId(voter), prepare(SeqNum(1), digest), &mut out);
         }
         assert_eq!(engines[0].last_executed(), SeqNum(0));
         let mut out = Outbox::new();
@@ -562,57 +374,94 @@ mod tests {
     }
 
     #[test]
+    fn view_change_creates_a_fresh_counter_and_reproposes_contiguously() {
+        let mut engines = cluster(1);
+        // The primary proposed three batches; replica 1 accepted them all,
+        // but no Prepare vote got through.
+        let mut out = Outbox::new();
+        engines[0].on_client_request(txns(3), &mut out);
+        for msg in out.broadcasts() {
+            engines[1].on_message(ReplicaId(0), msg.clone(), &mut Outbox::new());
+        }
+        // Replica 1 is the primary of view 1: its own ViewChange reports
+        // the accepted proposals as prepared, and two more votes complete
+        // the 2f + 1 quorum.
+        let mut out = Outbox::new();
+        engines[1].on_timer(TimerKind::ViewChange, &mut out);
+        let own_vote = out.broadcasts()[0].clone();
+        let Message::ViewChange { prepared, .. } = &own_vote else {
+            panic!("expected a ViewChange");
+        };
+        assert_eq!(prepared.len(), 3);
+        let mut out = Outbox::new();
+        engines[1].on_message(ReplicaId(1), own_vote, &mut out);
+        for sender in [2u32, 3] {
+            let vote = Message::ViewChange {
+                new_view: View(1),
+                last_stable: SeqNum(0),
+                prepared: Vec::new(),
+            };
+            engines[1].on_message(ReplicaId(sender), vote, &mut out);
+        }
+        assert_eq!(engines[1].view(), View(1));
+        assert!(engines[1].is_primary());
+        let new_view = out
+            .broadcasts()
+            .into_iter()
+            .find(|m| m.kind() == "NewView")
+            .cloned()
+            .expect("the new primary announces the view");
+        let Message::NewView {
+            proposals,
+            counter_attestation,
+            supporting_votes,
+            ..
+        } = new_view
+        else {
+            unreachable!()
+        };
+        let seqs: Vec<u64> = proposals.iter().map(|(s, _, _)| s.0).collect();
+        assert_eq!(seqs, vec![1, 2, 3]);
+        assert!(proposals.iter().all(|(_, _, a)| a.is_some()));
+        assert_eq!(supporting_votes, 3);
+        // The NewView carries a counter-creation attestation.
+        assert_eq!(counter_attestation.unwrap().kind, AttestKind::CounterCreate);
+    }
+
+    #[test]
+    fn new_view_without_counter_attestation_is_rejected() {
+        let mut engines = cluster(1);
+        let mut out = Outbox::new();
+        let msg = Message::NewView {
+            view: View(1),
+            supporting_votes: 3,
+            proposals: vec![(SeqNum(1), Batch::noop(1), None)],
+            counter_attestation: None,
+        };
+        engines[2].on_message(ReplicaId(1), msg, &mut out);
+        assert!(out.is_empty());
+        assert_eq!(engines[2].view(), View(0));
+    }
+
+    #[test]
     fn view_change_preserves_accepted_batches() {
-        let mut cfg = FlexiBft::config(1);
-        cfg.batch_size = 1;
-        let mut engines = build_cluster(&cfg);
-        run(&mut engines, vec![(0, txns(3))]);
+        let mut engines = cluster(1);
+        run_cluster_until_quiescent(&mut engines, vec![(0, txns(3))], 300);
         // Everyone executed 3 batches in view 0. Now the primary goes silent
         // and the backups time out.
-        let n = engines.len();
-        let mut queues: Vec<Vec<(ReplicaId, Message)>> = vec![Vec::new(); n];
+        let mut queues = message_queues(&engines);
         for engine in engines.iter_mut().skip(1) {
             let mut out = Outbox::new();
             engine.on_timer(TimerKind::ViewChange, &mut out);
-            for a in out.drain() {
-                if let flexitrust_protocol::Action::Broadcast { msg } = a {
-                    for q in queues.iter_mut() {
-                        q.push((engine.id(), msg.clone()));
-                    }
-                }
-            }
+            route_actions(engine.id(), out.drain(), &mut queues);
         }
-        for _ in 0..100 {
-            let mut any = false;
-            for i in 0..n {
-                for (from, msg) in std::mem::take(&mut queues[i]) {
-                    any = true;
-                    let mut out = Outbox::new();
-                    engines[i].on_message(from, msg, &mut out);
-                    for a in out.drain() {
-                        match a {
-                            flexitrust_protocol::Action::Broadcast { msg } => {
-                                for q in queues.iter_mut() {
-                                    q.push((engines[i].id(), msg.clone()));
-                                }
-                            }
-                            flexitrust_protocol::Action::Send { to, msg } => {
-                                queues[to.as_usize()].push((engines[i].id(), msg));
-                            }
-                            _ => {}
-                        }
-                    }
-                }
-            }
-            if !any {
-                break;
-            }
-        }
+        deliver_until_quiescent(&mut engines[1..], &mut queues, 100);
         // The backups are now in view 1 with replica 1 as primary, and the
         // previously executed state is intact.
         for e in engines.iter().skip(1) {
             assert_eq!(e.view(), View(1), "replica {}", e.id());
             assert_eq!(e.last_executed(), SeqNum(3));
+            assert_eq!(e.view_changes_completed(), 1);
         }
         assert!(engines[1].is_primary());
     }

@@ -22,28 +22,32 @@
 //!   which case those replicas roll back — which is safe precisely because
 //!   no client can have completed such a request.
 
-use crate::common::FlexiCore;
-use flexitrust_crypto::digest_transaction;
-use flexitrust_exec::KvStore;
-use flexitrust_protocol::{ConsensusEngine, Message, Outbox, ProtocolProperties, TimerKind};
+use flexitrust_baselines::{PbftFamilyEngine, PrimaryAttest, ProtocolStyle, ReplicaAttest};
 use flexitrust_trusted::{AttestationMode, Enclave, EnclaveConfig, EnclaveRegistry, SharedEnclave};
-use flexitrust_types::{Batch, ProtocolId, ReplicaId, SeqNum, SystemConfig, Transaction, View};
-use std::collections::BTreeMap;
+use flexitrust_types::{ProtocolId, QuorumRule, ReplicaId, SystemConfig};
 use std::sync::Arc;
 
-/// A Flexi-ZZ replica engine.
-pub struct FlexiZz {
-    sequential: bool,
-    flexi: FlexiCore,
-    /// Transactions forwarded to the primary on behalf of a retrying client,
-    /// keyed by the timer tag derived from the transaction digest.
-    forwarded: BTreeMap<u64, Transaction>,
-    /// Store snapshot at the last stable checkpoint, used to roll back
-    /// speculative execution when a view change drops a suffix of the log.
-    rollback_point: (SeqNum, KvStore),
-}
+/// Builder for Flexi-ZZ replica engines.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct FlexiZz;
 
 impl FlexiZz {
+    /// The Flexi-ZZ style parameters: MinZZ's speculative single phase,
+    /// with `AppendF` at the primary only and `2f + 1` view-change quorums
+    /// over `3f + 1` replicas.
+    pub fn style() -> ProtocolStyle {
+        ProtocolStyle {
+            id: ProtocolId::FlexiZz,
+            use_commit_phase: false,
+            prepare_quorum_rule: QuorumRule::TwoFPlusOne,
+            commit_quorum_rule: QuorumRule::TwoFPlusOne,
+            speculative: true,
+            primary_attest: PrimaryAttest::AppendF,
+            replica_attest: ReplicaAttest::None,
+            active_subset_only: false,
+        }
+    }
+
     /// The default configuration for fault threshold `f` (`n = 3f + 1`).
     pub fn config(f: usize) -> SystemConfig {
         SystemConfig::for_protocol(ProtocolId::FlexiZz, f)
@@ -59,21 +63,26 @@ impl FlexiZz {
         Enclave::shared(EnclaveConfig::counter_only(id, mode))
     }
 
-    /// Creates the engine for replica `id`.
+    /// Creates the engine for replica `id`; a configuration for
+    /// `oFlexi-ZZ` gives the sequential ablation.
+    // A builder: every protocol is the one `PbftFamilyEngine`, so `new`
+    // returns that engine rather than `Self`.
+    #[allow(clippy::new_ret_no_self)]
     pub fn new(
         config: impl Into<Arc<SystemConfig>>,
         id: ReplicaId,
         enclave: SharedEnclave,
         registry: EnclaveRegistry,
-    ) -> Self {
+    ) -> PbftFamilyEngine {
         let config = config.into();
-        let sequential = config.protocol == ProtocolId::OFlexiZz || config.max_in_flight == 1;
-        FlexiZz {
-            sequential,
-            flexi: FlexiCore::new(config, id, enclave, registry),
-            forwarded: BTreeMap::new(),
-            rollback_point: (SeqNum(0), KvStore::new()),
-        }
+        let style = ProtocolStyle {
+            id: match config.protocol {
+                ProtocolId::OFlexiZz => ProtocolId::OFlexiZz,
+                _ => ProtocolId::FlexiZz,
+            },
+            ..Self::style()
+        };
+        PbftFamilyEngine::new(config, id, style, Some(enclave), Some(registry))
     }
 
     /// Creates the sequential ablation (`oFlexi-ZZ`) engine for replica `id`.
@@ -82,277 +91,14 @@ impl FlexiZz {
         id: ReplicaId,
         enclave: SharedEnclave,
         registry: EnclaveRegistry,
-    ) -> Self {
+    ) -> PbftFamilyEngine {
         Self::new(Self::sequential_config(f), id, enclave, registry)
-    }
-
-    /// Shared FlexiTrust state (exposed for tests and attack harnesses).
-    pub fn flexi(&self) -> &FlexiCore {
-        &self.flexi
-    }
-
-    /// Whether this engine runs the sequential (`oFlexi-ZZ`) ablation.
-    pub fn is_sequential(&self) -> bool {
-        self.sequential
-    }
-
-    fn on_preprepare(
-        &mut self,
-        from: ReplicaId,
-        view: View,
-        seq: SeqNum,
-        batch: Batch,
-        attestation: Option<flexitrust_trusted::Attestation>,
-        out: &mut Outbox,
-    ) {
-        let Some(accepted) = self
-            .flexi
-            .accept_preprepare(from, view, seq, batch, attestation)
-        else {
-            return;
-        };
-        // Cancel any pending forwarded-request timers satisfied by this batch.
-        // Only a client retry forwards a transaction, so in the common case
-        // there is nothing to cancel and no transaction needs its digest.
-        if !self.forwarded.is_empty() {
-            for txn in accepted.batch.txns() {
-                let tag = forwarded_tag(txn);
-                if self.forwarded.remove(&tag).is_some() {
-                    out.cancel_timer(TimerKind::RequestForwarded(tag));
-                }
-            }
-        }
-        // Execute speculatively, in sequence order (Figure 4, Execute()).
-        let executed = self
-            .flexi
-            .replica
-            .commit_batch(seq, accepted.batch, true, out);
-        for done in executed {
-            self.flexi.replica.maybe_emit_checkpoint(done.seq, out);
-            self.flexi.instance_finished(done.seq, out);
-        }
-    }
-
-    fn on_client_retry(&mut self, txn: Transaction, out: &mut Outbox) {
-        // (1) Already executed? Answer from the reply cache.
-        if let Some(reply) = self.flexi.replica.cached_reply(txn.client(), txn.request()) {
-            out.reply(reply.clone());
-            return;
-        }
-        if self.flexi.replica.is_primary() {
-            self.flexi.enqueue(vec![txn], out);
-            return;
-        }
-        // (2) Forward to the primary and start a timer; if no PrePrepare for
-        // this transaction arrives before it expires, suspect the primary.
-        let tag = forwarded_tag(&txn);
-        self.forwarded.insert(tag, txn.clone());
-        let primary = self.flexi.replica.primary();
-        out.send(primary, Message::ForwardRequest { txns: vec![txn] });
-        out.set_timer(
-            TimerKind::RequestForwarded(tag),
-            self.flexi.replica.config().view_timeout_us,
-        );
-    }
-
-    fn adopt_proposals(
-        &mut self,
-        from: ReplicaId,
-        view: View,
-        proposals: Vec<(SeqNum, Batch, Option<flexitrust_trusted::Attestation>)>,
-        out: &mut Outbox,
-    ) {
-        if proposals.is_empty() {
-            return;
-        }
-        // Speculatively executed slots that the new view does not re-propose
-        // (or re-proposes differently) must be rolled back before adopting
-        // the new history (§8.3: "may force some replicas to rollback").
-        let first = proposals[0].0;
-        if self.flexi.replica.last_executed() >= first {
-            let mismatch = proposals.iter().any(|(seq, batch, _)| {
-                self.flexi.replica.exec().is_executed(*seq)
-                    && self
-                        .flexi
-                        .accepted(*seq)
-                        .map(|a| a.digest != batch.digest())
-                        .unwrap_or(false)
-            });
-            let overshoot =
-                self.flexi.replica.last_executed() >= SeqNum(first.0 + proposals.len() as u64);
-            if mismatch || overshoot {
-                let (seq, store) = self.rollback_point.clone();
-                self.flexi.replica.exec_mut().rollback_to(seq, store);
-            }
-        }
-        for (seq, batch, attestation) in proposals {
-            if self.flexi.replica.exec().is_executed(seq) {
-                continue;
-            }
-            self.on_preprepare(from, view, seq, batch, attestation, out);
-        }
-    }
-}
-
-/// Timer tag for a forwarded client transaction.
-fn forwarded_tag(txn: &Transaction) -> u64 {
-    let digest = digest_transaction(txn);
-    u64::from_le_bytes(
-        digest.as_bytes()[..8]
-            .try_into()
-            .expect("digest is 32 bytes"),
-    )
-}
-
-impl ConsensusEngine for FlexiZz {
-    fn config(&self) -> &SystemConfig {
-        self.flexi.replica.config()
-    }
-
-    fn id(&self) -> ReplicaId {
-        self.flexi.replica.id()
-    }
-
-    fn properties(&self) -> ProtocolProperties {
-        ProtocolProperties::for_protocol(if self.sequential {
-            ProtocolId::OFlexiZz
-        } else {
-            ProtocolId::FlexiZz
-        })
-    }
-
-    fn on_client_request(&mut self, txns: Vec<Transaction>, out: &mut Outbox) {
-        if self.flexi.replica.is_primary() {
-            self.flexi.enqueue(txns, out);
-        } else {
-            let primary = self.flexi.replica.primary();
-            out.send(primary, Message::ForwardRequest { txns });
-        }
-    }
-
-    fn on_message(&mut self, from: ReplicaId, msg: Message, out: &mut Outbox) {
-        if !self.flexi.replica.config().contains(from) {
-            return;
-        }
-        match msg {
-            Message::PrePrepare {
-                view,
-                seq,
-                batch,
-                attestation,
-            } => self.on_preprepare(from, view, seq, batch, attestation, out),
-            Message::Prepare { .. } | Message::Commit { .. } => {
-                // Flexi-ZZ's common case has no voting phases.
-            }
-            Message::Checkpoint {
-                seq, state_digest, ..
-            } => {
-                let before = self.flexi.replica.low_water_mark();
-                self.flexi.on_checkpoint(from, seq, state_digest);
-                let after = self.flexi.replica.low_water_mark();
-                if after > before {
-                    // The stable checkpoint is the new speculative rollback
-                    // point: everything at or below it is durable.
-                    self.rollback_point = (after, self.flexi.replica.exec().store().clone());
-                }
-            }
-            Message::ViewChange {
-                new_view,
-                last_stable,
-                prepared,
-            } => {
-                let self_id = self.flexi.replica.id();
-                let reproposed = self.flexi.on_view_change(
-                    from,
-                    new_view,
-                    last_stable,
-                    prepared,
-                    |core| core.proofs_from_accepted(true),
-                    out,
-                );
-                self.adopt_proposals(self_id, new_view, reproposed, out);
-            }
-            Message::NewView {
-                view,
-                supporting_votes,
-                proposals,
-                counter_attestation,
-            } => {
-                let adopted = self.flexi.on_new_view(
-                    from,
-                    view,
-                    supporting_votes,
-                    proposals,
-                    counter_attestation,
-                    out,
-                );
-                self.adopt_proposals(from, view, adopted, out);
-            }
-            Message::ClientRetry { txn } => self.on_client_retry(txn, out),
-            Message::ForwardRequest { txns } => {
-                if self.flexi.replica.is_primary() {
-                    self.flexi.enqueue(txns, out);
-                }
-            }
-            Message::CheckpointRequest { last_executed } => {
-                self.flexi.on_checkpoint_request(from, last_executed, out);
-            }
-            Message::CheckpointState {
-                seq,
-                snapshot,
-                batches,
-            } => {
-                if self
-                    .flexi
-                    .install_checkpoint_state(seq, &snapshot, batches, true, out)
-                {
-                    // The installed checkpoint is durable: it becomes the
-                    // new speculative rollback point.
-                    self.rollback_point = (seq, self.flexi.replica.exec().store().clone());
-                }
-            }
-        }
-    }
-
-    fn on_timer(&mut self, timer: TimerKind, out: &mut Outbox) {
-        match timer {
-            TimerKind::BatchFlush => self.flexi.flush_batch(out),
-            TimerKind::RequestForwarded(tag) => {
-                // The primary never proposed the forwarded transaction:
-                // suspect it (Figure 4 view-change trigger).
-                if self.forwarded.remove(&tag).is_some() {
-                    let proofs = self.flexi.proofs_from_accepted(true);
-                    self.flexi.start_view_change(proofs, out);
-                }
-            }
-            TimerKind::ViewChange => {
-                let proofs = self.flexi.proofs_from_accepted(true);
-                self.flexi.start_view_change(proofs, out);
-            }
-            TimerKind::Checkpoint => {}
-        }
-    }
-
-    fn view(&self) -> View {
-        self.flexi.replica.view()
-    }
-
-    fn last_executed(&self) -> SeqNum {
-        self.flexi.replica.last_executed()
-    }
-
-    fn executed_txns(&self) -> u64 {
-        self.flexi.replica.executed_txns()
-    }
-
-    fn state_digest(&self) -> Option<flexitrust_types::Digest> {
-        Some(self.flexi.replica.state_digest())
     }
 }
 
 /// Builds a full Flexi-ZZ cluster (engine per replica) over counting-mode
 /// enclaves; used by tests, examples and the simulator registry.
-pub fn build_cluster(config: &SystemConfig) -> Vec<FlexiZz> {
+pub fn build_cluster(config: &SystemConfig) -> Vec<PbftFamilyEngine> {
     let registry = EnclaveRegistry::deterministic(config.n, AttestationMode::Counting);
     (0..config.n)
         .map(|i| {
@@ -370,8 +116,11 @@ pub fn build_cluster(config: &SystemConfig) -> Vec<FlexiZz> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flexitrust_protocol::Action;
-    use flexitrust_types::{ClientId, KvOp, QuorumRule, RequestId};
+    use flexitrust_baselines::common::{
+        deliver_until_quiescent, message_queues, route_actions, run_cluster_until_quiescent,
+    };
+    use flexitrust_protocol::{Action, ConsensusEngine, Message, Outbox, TimerKind};
+    use flexitrust_types::{ClientId, KvOp, RequestId, SeqNum, Transaction, View};
 
     fn txns(count: usize) -> Vec<Transaction> {
         (0..count)
@@ -388,50 +137,16 @@ mod tests {
             .collect()
     }
 
-    fn route(from: ReplicaId, actions: Vec<Action>, queues: &mut [Vec<(ReplicaId, Message)>]) {
-        for a in actions {
-            match a {
-                Action::Send { to, msg } => queues[to.as_usize()].push((from, msg)),
-                Action::Broadcast { msg } => {
-                    for q in queues.iter_mut() {
-                        q.push((from, msg.clone()));
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-
-    fn run(engines: &mut [FlexiZz], inject: Vec<(usize, Vec<Transaction>)>) {
-        let n = engines.len();
-        let mut queues: Vec<Vec<(ReplicaId, Message)>> = vec![Vec::new(); n];
-        for (target, t) in inject {
-            let mut out = Outbox::new();
-            engines[target].on_client_request(t, &mut out);
-            route(engines[target].id(), out.drain(), &mut queues);
-        }
-        for _ in 0..300 {
-            let mut any = false;
-            for i in 0..n {
-                for (from, msg) in std::mem::take(&mut queues[i]) {
-                    any = true;
-                    let mut out = Outbox::new();
-                    engines[i].on_message(from, msg, &mut out);
-                    route(engines[i].id(), out.drain(), &mut queues);
-                }
-            }
-            if !any {
-                break;
-            }
-        }
+    fn cluster(f: usize, batch_size: usize) -> Vec<PbftFamilyEngine> {
+        let mut cfg = FlexiZz::config(f);
+        cfg.batch_size = batch_size;
+        build_cluster(&cfg)
     }
 
     #[test]
     fn single_phase_speculative_commit() {
-        let mut cfg = FlexiZz::config(1);
-        cfg.batch_size = 2;
-        let mut engines = build_cluster(&cfg);
-        run(&mut engines, vec![(0, txns(4))]);
+        let mut engines = cluster(1, 2);
+        run_cluster_until_quiescent(&mut engines, vec![(0, txns(4))], 300);
         for e in &engines {
             assert_eq!(e.last_executed(), SeqNum(2));
             assert_eq!(e.executed_txns(), 4);
@@ -440,9 +155,7 @@ mod tests {
 
     #[test]
     fn replies_are_speculative_and_need_2f_plus_1_at_the_client() {
-        let mut cfg = FlexiZz::config(2);
-        cfg.batch_size = 1;
-        let mut engines = build_cluster(&cfg);
+        let mut engines = cluster(2, 1);
         let mut out = Outbox::new();
         engines[0].on_client_request(txns(1), &mut out);
         let preprepare = out.broadcasts()[0].clone();
@@ -459,22 +172,26 @@ mod tests {
 
     #[test]
     fn only_the_primary_accesses_its_trusted_counter() {
-        let mut cfg = FlexiZz::config(1);
+        let mut engines = cluster(1, 1);
+        run_cluster_until_quiescent(&mut engines, vec![(0, txns(6))], 300);
+        let primary = engines[0].enclave().unwrap().stats().snapshot();
+        assert_eq!(primary.counter_append_fs, 6);
+        for e in &engines[1..] {
+            let backup = e.enclave().unwrap().stats().snapshot();
+            assert_eq!(backup.total_accesses(), 0);
+        }
+    }
+
+    #[test]
+    fn sequential_ablation_proposes_one_instance_at_a_time() {
+        let mut cfg = FlexiZz::sequential_config(1);
         cfg.batch_size = 1;
         let mut engines = build_cluster(&cfg);
-        run(&mut engines, vec![(0, txns(6))]);
-        assert_eq!(
-            engines[0]
-                .flexi()
-                .enclave()
-                .stats()
-                .snapshot()
-                .counter_append_fs,
-            6
-        );
-        for e in &engines[1..] {
-            assert_eq!(e.flexi().enclave().stats().snapshot().total_accesses(), 0);
-        }
+        assert_eq!(engines[0].style().id, ProtocolId::OFlexiZz);
+        let mut out = Outbox::new();
+        engines[0].on_client_request(txns(4), &mut out);
+        assert_eq!(engines[0].outstanding(), 1);
+        assert_eq!(out.broadcasts().len(), 1);
     }
 
     #[test]
@@ -482,9 +199,7 @@ mod tests {
         // With f = 1 (n = 4), one replica never receives anything; the other
         // three still execute and reply — enough for the 2f + 1 = 3 reply
         // rule, unlike MinZZ/Zyzzyva which would need all replicas.
-        let mut cfg = FlexiZz::config(1);
-        cfg.batch_size = 1;
-        let mut engines = build_cluster(&cfg);
+        let mut engines = cluster(1, 1);
         let mut out = Outbox::new();
         engines[0].on_client_request(txns(1), &mut out);
         let preprepare = out.broadcasts()[0].clone();
@@ -495,17 +210,15 @@ mod tests {
             replies += out.replies().len();
         }
         assert_eq!(replies, 3);
-        let needed = cfg.quorum(QuorumRule::TwoFPlusOne);
+        let needed = engines[0].config().quorum(QuorumRule::TwoFPlusOne);
         assert!(replies >= needed);
     }
 
     #[test]
     fn client_retry_is_answered_from_the_reply_cache() {
-        let mut cfg = FlexiZz::config(1);
-        cfg.batch_size = 1;
-        let mut engines = build_cluster(&cfg);
+        let mut engines = cluster(1, 1);
         let request = txns(1);
-        run(&mut engines, vec![(0, request.clone())]);
+        run_cluster_until_quiescent(&mut engines, vec![(0, request.clone())], 300);
         let mut out = Outbox::new();
         engines[2].on_message(
             ReplicaId(1),
@@ -520,29 +233,19 @@ mod tests {
 
     #[test]
     fn unserved_client_retry_forwards_to_primary_and_arms_a_timer() {
-        let mut cfg = FlexiZz::config(1);
-        cfg.batch_size = 1;
-        let mut engines = build_cluster(&cfg);
+        let mut engines = cluster(1, 1);
         let txn = txns(1).remove(0);
         let mut out = Outbox::new();
         engines[2].on_message(ReplicaId(1), Message::ClientRetry { txn }, &mut out);
         assert_eq!(out.replies().len(), 0);
         assert_eq!(out.sends().len(), 1);
         assert_eq!(*out.sends()[0].0, ReplicaId(0));
-        assert!(out.actions().iter().any(|a| matches!(
-            a,
-            Action::SetTimer {
-                timer: TimerKind::RequestForwarded(_),
-                ..
-            }
-        )));
+        assert!(forwarded_timer(&out).is_some());
     }
 
     #[test]
     fn forwarded_request_timeout_triggers_a_view_change_vote() {
-        let mut cfg = FlexiZz::config(1);
-        cfg.batch_size = 1;
-        let mut engines = build_cluster(&cfg);
+        let mut engines = cluster(1, 1);
         let mut two = txns(2);
         let other = two.remove(1);
         let retried = two.remove(0);
@@ -562,11 +265,10 @@ mod tests {
         engines[2].on_message(ReplicaId(0), preprepare, &mut out);
         assert_eq!(engines[2].last_executed(), SeqNum(1));
         assert!(!cancels(&out, tag));
-        assert_eq!(engines[2].forwarded.len(), 1);
         let mut out = Outbox::new();
         engines[2].on_timer(TimerKind::RequestForwarded(tag), &mut out);
         assert_eq!(view_change_votes(&out), 1);
-        assert!(engines[2].flexi().in_view_change());
+        assert!(engines[2].in_view_change());
     }
 
     /// The tag of the forwarded-request timer `out` arms, if any.
@@ -600,9 +302,7 @@ mod tests {
 
     #[test]
     fn preprepare_carrying_a_forwarded_txn_cancels_its_timer() {
-        let mut cfg = FlexiZz::config(1);
-        cfg.batch_size = 1;
-        let mut engines = build_cluster(&cfg);
+        let mut engines = cluster(1, 1);
         let txn = txns(1).remove(0);
         let mut out = Outbox::new();
         engines[2].on_message(ReplicaId(1), Message::ClientRetry { txn }, &mut out);
@@ -616,48 +316,31 @@ mod tests {
         let mut out = Outbox::new();
         engines[2].on_message(ReplicaId(0), preprepare, &mut out);
         assert!(cancels(&out, tag));
-        assert!(engines[2].forwarded.is_empty());
         assert_eq!(engines[2].last_executed(), SeqNum(1));
         // A timer expiry that races the cancellation starts no view change.
         let mut out = Outbox::new();
         engines[2].on_timer(TimerKind::RequestForwarded(tag), &mut out);
         assert_eq!(view_change_votes(&out), 0);
-        assert!(!engines[2].flexi().in_view_change());
+        assert!(!engines[2].in_view_change());
     }
 
     #[test]
     fn view_change_reproposes_executed_batches_and_preserves_results() {
-        let mut cfg = FlexiZz::config(1);
-        cfg.batch_size = 1;
-        let mut engines = build_cluster(&cfg);
-        run(&mut engines, vec![(0, txns(2))]);
+        let mut engines = cluster(1, 1);
+        run_cluster_until_quiescent(&mut engines, vec![(0, txns(2))], 300);
         // Primary goes silent; every backup times out and votes.
-        let n = engines.len();
-        let mut queues: Vec<Vec<(ReplicaId, Message)>> = vec![Vec::new(); n];
+        let mut queues = message_queues(&engines);
         for engine in engines.iter_mut().skip(1) {
             let mut out = Outbox::new();
             engine.on_timer(TimerKind::ViewChange, &mut out);
-            route(engine.id(), out.drain(), &mut queues);
+            route_actions(engine.id(), out.drain(), &mut queues);
         }
-        for _ in 0..100 {
-            let mut any = false;
-            for i in 0..n {
-                for (from, msg) in std::mem::take(&mut queues[i]) {
-                    any = true;
-                    let mut out = Outbox::new();
-                    engines[i].on_message(from, msg, &mut out);
-                    route(engines[i].id(), out.drain(), &mut queues);
-                }
-            }
-            if !any {
-                break;
-            }
-        }
+        deliver_until_quiescent(&mut engines[1..], &mut queues, 100);
         for e in engines.iter().skip(1) {
             assert_eq!(e.view(), View(1), "replica {}", e.id());
             assert_eq!(e.last_executed(), SeqNum(2), "replica {}", e.id());
         }
         assert!(engines[1].is_primary());
-        assert!(engines[1].flexi().view_changes_completed() >= 1);
+        assert!(engines[1].view_changes_completed() >= 1);
     }
 }

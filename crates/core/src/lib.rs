@@ -16,7 +16,15 @@
 //!    window to one access per consensus (§6) and enabling parallel
 //!    consensus invocations (§7).
 //!
-//! Two conversions are provided, exactly as in the paper:
+//! The recipe needs no new replica: FlexiTrust is two more
+//! [`ProtocolStyle`](flexitrust_baselines::ProtocolStyle)s of the shared
+//! PBFT-family skeleton, [`PbftFamilyEngine`](flexitrust_baselines::PbftFamilyEngine),
+//! that also runs every baseline. Both use
+//! [`PrimaryAttest::AppendF`](flexitrust_baselines::PrimaryAttest::AppendF)
+//! (the counter value is the sequence number, the primary of a new view
+//! proves its freshly created counter in `NewView`), no trusted component at
+//! backups, and `2f + 1` quorums over `3f + 1` replicas. The two conversions,
+//! exactly as in the paper:
 //!
 //! * [`FlexiBft`](flexi_bft::FlexiBft) — derived from MinBFT/PBFT: two
 //!   phases (`PrePrepare`, `Prepare`), commit at `2f + 1` `Prepare` votes,
@@ -26,14 +34,14 @@
 //!   unlike Zyzzyva/MinZZ — the fast path survives up to `f` unresponsive
 //!   replicas (Figure 7) and the view change stays simple.
 //!
-//! The sequential ablations `oFlexi-BFT` / `oFlexi-ZZ` used in Figure 6(i)
-//! are the same engines constructed with parallelism disabled
-//! ([`flexi_bft::FlexiBft::sequential`], [`flexi_zz::FlexiZz::sequential`]).
+//! Each module is a builder: its `new` returns the configured engine. The
+//! sequential ablations `oFlexi-BFT` / `oFlexi-ZZ` used in Figure 6(i) are
+//! the same styles built from an `oFlexi-*` configuration, whose in-flight
+//! window is one ([`flexi_bft::FlexiBft::sequential`],
+//! [`flexi_zz::FlexiZz::sequential`]).
 
-pub mod common;
 pub mod flexi_bft;
 pub mod flexi_zz;
 
-pub use common::FlexiCore;
 pub use flexi_bft::FlexiBft;
 pub use flexi_zz::FlexiZz;

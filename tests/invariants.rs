@@ -117,7 +117,7 @@ proptest! {
             let digests: Vec<Digest> = engines
                 .iter()
                 .filter(|e| e.last_executed() >= SeqNum(seq))
-                .filter_map(|e| e.flexi().accepted(SeqNum(seq)).map(|a| a.digest))
+                .filter_map(|e| e.accepted_digest(SeqNum(seq)))
                 .collect();
             for pair in digests.windows(2) {
                 prop_assert_eq!(pair[0], pair[1]);
